@@ -326,8 +326,8 @@ func BenchmarkExtMultiNode(b *testing.B) {
 // fault through the sharded manager — simulator overhead, not simulated
 // latency. The working set is 8× the cache, so every touch in the cycle
 // is a major fault with eviction pressure behind it. Guarded by the CI
-// bench-baseline check: ns/op regressions past 10% fail the shard-smoke
-// job.
+// A/B check against the merge-base (scripts/benchcheck.sh): ns/op
+// regressions past 10% fail the shard-smoke job.
 func BenchmarkFaultPath(b *testing.B) {
 	const pages = 8192
 	eng := sim.New()
@@ -337,7 +337,6 @@ func BenchmarkFaultPath(b *testing.B) {
 		Shards:      2,
 		RemoteBytes: pages*core.PageSize + (64 << 20),
 		Fabric:      fabric.DefaultParams(),
-		Batch:       true,
 	})
 	sys.Start()
 	sys.Launch("bench", 0, func(sp *core.DDCProc) {
@@ -367,7 +366,7 @@ func BenchmarkFaultPath(b *testing.B) {
 // a tail-sampled flight recorder (keep every over-budget span, 1 in 16 of
 // the rest). The delta against BenchmarkFaultPath is the host-side cost of
 // the plane per fault; scripts/benchcheck.sh gates both so the plane can
-// never silently grow past the committed baseline.
+// never silently grow past the merge-base's cost.
 func BenchmarkFaultPathObs(b *testing.B) {
 	const pages = 8192
 	eng := sim.New()
@@ -386,7 +385,6 @@ func BenchmarkFaultPathObs(b *testing.B) {
 		Shards:      2,
 		RemoteBytes: pages*core.PageSize + (64 << 20),
 		Fabric:      fabric.DefaultParams(),
-		Batch:       true,
 		Obs:         pl,
 		Tel:         tel,
 	})
@@ -430,7 +428,6 @@ func BenchmarkKVDecodeStep(b *testing.B) {
 		Cores:       2,
 		RemoteBytes: 256 << 20,
 		Fabric:      fabric.DefaultParams(),
-		Batch:       true,
 		Mgr:         &mcfg,
 	})
 	g := kvcache.NewGuide(sys)

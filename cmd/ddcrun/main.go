@@ -100,12 +100,10 @@ func main() {
 		"write the control-plane event journal (drains, breaker trips, steals, SLO alerts) as JSON lines to this file (dilos only; feed it to tracetool events)")
 	sampleInterval := flag.Duration("sample-interval", 50*time.Microsecond,
 		"virtual-time gauge sampling interval for -trace-out counter tracks (0 disables them)")
-	batch := flag.Bool("batch", false,
-		"doorbell-batched submission on the prefetch and cleaner paths (dilos only)")
 	coresSpec := flag.String("cores", "",
-		"comma list of core counts (e.g. 1,2,4): repeat the run once per setting with the sharded page manager at that core count, one report/stats block per setting (dilos boots Shards=N; empty = 4 cores, legacy manager)")
+		"comma list of core counts (e.g. 1,2,4): repeat the run once per setting, one paging shard per core, one report/stats block per setting (empty = 4 cores)")
 	wideLocks := flag.Bool("wide-locks", false,
-		"with -cores: boot the shared-structure wide-lock baseline instead of the sharded manager (dilos only)")
+		"with -cores: boot the shared-structure wide-lock baseline instead of per-core shards (dilos only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	drainSpec := flag.String("migrate-drain", "",
@@ -224,7 +222,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-replicas must be between 1 and -nodes (%d)\n", *nodes)
 		os.Exit(2)
 	}
-	coresList := []int{0} // 0 = the 4-core default with the legacy manager
+	coresList := []int{0} // 0 = the 4-core default
 	if *coresSpec != "" {
 		coresList = coresList[:0]
 		for _, f := range strings.Split(*coresSpec, ",") {
@@ -236,7 +234,7 @@ func main() {
 			coresList = append(coresList, n)
 		}
 		if *tenants > 0 {
-			fmt.Fprintln(os.Stderr, "-cores boots the sharded manager, which does not compose with -tenants")
+			fmt.Fprintln(os.Stderr, "-cores sweeps one paging shard per core, which does not compose with -tenants (tenancy runs one shard)")
 			os.Exit(2)
 		}
 	}
@@ -293,15 +291,10 @@ func main() {
 				CacheFrames: frames, Cores: coreCount, RemoteBytes: remote,
 				Fabric: fabric.DefaultParams(), Prefetcher: prefetcher,
 				MemNodes: *nodes, Replicas: *replicas, Placement: policy,
-				Batch: *batch,
-				Tel:   rec, SampleEvery: sampleEvery,
+				Tel: rec, SampleEvery: sampleEvery,
 			}
-			if coreN > 0 {
-				if *wideLocks {
-					cfg.Shards, cfg.WideLocks = 1, true
-				} else {
-					cfg.Shards = coreN
-				}
+			if coreN > 0 && *wideLocks {
+				cfg.Shards, cfg.WideLocks = 1, true
 			}
 			if chaosOn {
 				cfg.Chaos = chaos.NewInjector(chaosCfg)

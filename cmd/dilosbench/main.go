@@ -100,8 +100,6 @@ func main() {
 		"capture a full stats snapshot per system run and dump them as JSON")
 	flag.Uint64Var(&experiments.ChaosSeed, "chaos-seed", 42,
 		"seed for the seeded experiments' deterministic fault injection and determinism legs (same seed ⇒ identical run)")
-	batch := flag.String("batch", "off",
-		"doorbell-batched submission (on|off) for every DiLOS system the experiments build; ext5 measures both regardless")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	traceOut := flag.String("trace-out", "",
@@ -125,9 +123,9 @@ func main() {
 	debugAddr := flag.String("debug-addr", "",
 		"serve net/http/pprof on this address (off by default; see DESIGN.md §14 for the profiling workflow)")
 	coresSpec := flag.String("cores", "",
-		"comma list of core counts (e.g. 1,2,4,8): run each experiment once per setting with the sharded manager at that core count (one stats block per setting); ext10 sweeps exactly this list")
+		"comma list of core counts (e.g. 1,2,4,8): run each experiment once per setting, one paging shard per core (one stats block per setting); ext10 sweeps exactly this list")
 	flag.BoolVar(&experiments.WideLocks, "wide-locks", false,
-		"with -cores: boot DiLOS with the shared-structure wide-lock baseline instead of the sharded manager (ext10's ablation arm, for ad-hoc runs)")
+		"with -cores: boot DiLOS with the shared-structure wide-lock baseline instead of per-core shards (ext10's ablation arm, for ad-hoc runs)")
 	flag.Parse()
 	var err error
 	if coresList, err = parseCores(*coresSpec); err != nil {
@@ -143,15 +141,6 @@ func main() {
 	}
 	if experiments.MigrateDrainNode < 0 || experiments.MigrateDrainNode > 2 {
 		fmt.Fprintf(os.Stderr, "-migrate-drain must be 0-2, got %d\n", experiments.MigrateDrainNode)
-		os.Exit(2)
-	}
-	switch *batch {
-	case "on":
-		experiments.Batch = true
-	case "off":
-		experiments.Batch = false
-	default:
-		fmt.Fprintf(os.Stderr, "-batch must be on or off, got %q\n", *batch)
 		os.Exit(2)
 	}
 	if *cpuprofile != "" {

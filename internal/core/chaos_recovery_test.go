@@ -164,3 +164,36 @@ func TestChaosSameSeedIdenticalSystemRun(t *testing.T) {
 		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// A demand fetch that fails at issue is re-issued by recoverFetch; that
+// re-issue is a retry and lands in FetchRetries like the ones
+// ReliableQP.Do makes itself. A one-microsecond crash window on the only
+// node fails exactly the first fetch.
+func TestDemandFetchReissueCountsRetry(t *testing.T) {
+	eng := sim.New()
+	inj := chaos.NewInjector(chaos.Config{
+		Seed:    1,
+		Crashes: []chaos.CrashWindow{{Node: 0, At: 0, Until: sim.Microsecond}},
+	})
+	sys := New(eng, Config{
+		CacheFrames: 32,
+		Cores:       1,
+		RemoteBytes: 1 << 20,
+		Fabric:      fabric.DefaultParams(),
+		Chaos:       inj,
+	})
+	sys.Start()
+	sys.Launch("app", 0, func(sp *DDCProc) {
+		base, _ := sys.MmapDDC(4)
+		if got := sp.LoadU64(base); got != 0 {
+			t.Errorf("fresh page reads %#x, want 0", got)
+		}
+	})
+	eng.Run()
+	if sys.Chaos.Crashed.N != 1 {
+		t.Fatalf("crash window refused %d ops, want exactly the first demand fetch", sys.Chaos.Crashed.N)
+	}
+	if sys.FetchRetries.Retries.N != 1 {
+		t.Fatalf("fetch retries = %d, want 1 (the re-issue of the failed demand fetch)", sys.FetchRetries.Retries.N)
+	}
+}

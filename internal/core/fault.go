@@ -228,14 +228,10 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 	}
 	p.Advance(s.Costs.HandlerCheck)
 
-	expected := pte.Tag()
-	var old pagetable.PTE
-	if s.shards > 0 {
-		// Sharded mode snapshots the full entry: the publish below is a
-		// full-value CAS (pagetable.TryTransition), so a migration that
-		// re-homed the page — same tag, new payload — fails the swap too.
-		old = *pte
-	}
+	// Snapshot the full entry: the publish below is a full-value CAS
+	// (pagetable.TryTransition), so a migration that re-homed the page —
+	// same tag, new payload — fails the swap too.
+	old := *pte
 	frame := s.Mgr.AllocFrame(p)
 	if s.wideLocks {
 		// The shared-structure baseline serializes every transition behind
@@ -243,11 +239,7 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 		// wait can block on the reclaimer, which sweeps holding this lock.
 		s.Mgr.Wide.Acquire(p)
 	}
-	stale := pte.Tag() != expected
-	if s.shards > 0 {
-		stale = *pte != old
-	}
-	if stale {
+	if *pte != old {
 		// AllocFrame (and the wide-lock wait) can yield, and another core
 		// may have started fetching — or finished mapping — this page
 		// meanwhile. Back off; the retried translation takes the
@@ -267,14 +259,10 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 	}
 	slot := s.newSlot(vpn, frame)
 	s.slots[slot].demand = true
-	if s.shards > 0 {
-		p.Advance(s.Costs.TagCAS)
-		if !s.Table.TryTransition(vpn, old, pagetable.Fetching(slot)) {
-			// Nothing yields between the staleness check and here.
-			panic("core: Fetching publish lost a race without a yield")
-		}
-	} else {
-		*pte = pagetable.Fetching(slot)
+	p.Advance(s.Costs.TagCAS)
+	if !s.Table.TryTransition(vpn, old, pagetable.Fetching(slot)) {
+		// Nothing yields between the staleness check and here.
+		panic("core: Fetching publish lost a race without a yield")
 	}
 	if s.wideLocks {
 		s.Mgr.Wide.Release(p)
@@ -317,7 +305,7 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 		op.Wait(p)
 	}
 	if op == nil || op.Err != nil {
-		s.recoverFetch(p, coreID, vpn, slot, gen, counted, buf, issue)
+		s.recoverFetch(p, coreID, vpn, slot, gen, counted, op != nil, buf, issue)
 	}
 	s.BD.Fetch += p.Now() - tIssue
 	tMap := p.Now()
@@ -348,8 +336,13 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 // replica serves — wait a beat for the monitor and try again. Every
 // re-issued op is republished into the inflight slot so minor faulters
 // track the live attempt.
+//
+// failed reports that an earlier attempt already failed (the demand issue
+// in majorFetch). ReliableQP.Do counts only the re-issues it makes itself,
+// so the first issue of a Do that follows a failure is counted here: every
+// re-issue after a failed attempt lands in FetchRetries.Retries.
 func (s *System) recoverFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, slot uint64, gen uint64,
-	counted bool, buf []byte, issue func(qp *fabric.QP, now sim.Time, base uint64, buf []byte) *fabric.Op) {
+	counted, failed bool, buf []byte, issue func(qp *fabric.QP, now sim.Time, base uint64, buf []byte) *fabric.Op) {
 	for round := 0; round < maxRecoverRounds; round++ {
 		slots, failover, ok := s.space.Resolve(vpn)
 		if !ok {
@@ -363,6 +356,9 @@ func (s *System) recoverFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, slot u
 				Rng: &s.retryRng,
 			}
 			base := rsl.Off
+			if failed {
+				s.FetchRetries.Retries.Inc()
+			}
 			err := rqp.Do(p, func(now sim.Time) *fabric.Op {
 				op := issue(rqp.QP, now, base, buf)
 				if sp := &s.slots[slot]; sp.gen == gen && sp.active {
@@ -376,6 +372,7 @@ func (s *System) recoverFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, slot u
 				}
 				return
 			}
+			failed = true
 		}
 		// No replica reachable this round; give the health monitor time to
 		// declare the node dead (failing it over) or bring one back.
@@ -398,7 +395,7 @@ func (s *System) finishFetch(p *sim.Proc, coreID int, slot uint64, gen uint64) {
 // mapFetched installs a completed fetch. charge=false is the late-map-hit
 // path, where the map cost belongs to the (parallel) mapper core, not the
 // process that happened to notice the completed op. coreID homes the frame:
-// in sharded mode the page enters the mapping core's LRU shard.
+// the page enters the mapping core's LRU shard.
 func (s *System) mapFetched(p *sim.Proc, coreID int, slot uint64, gen uint64, charge bool) {
 	sl := &s.slots[slot]
 	if sl.gen != gen || !sl.active {
@@ -422,9 +419,7 @@ func (s *System) mapFetched(p *sim.Proc, coreID int, slot uint64, gen uint64, ch
 	sl.active = false
 	if charge {
 		p.Advance(s.Costs.Map)
-		if s.shards > 0 {
-			p.Advance(s.Costs.TagCAS)
-		}
+		p.Advance(s.Costs.TagCAS)
 	}
 	s.Table.Set(sl.vpn, pagetable.Local(uint64(sl.frame), true))
 	if s.wideLocks {
@@ -484,51 +479,6 @@ func (s *System) runPrefetch(p *sim.Proc, coreID int, vpn pagetable.VPN, major b
 	return t1 - t0, p.Now() - t1
 }
 
-// SchedulePrefetch issues page prefetches for every target that is
-// currently Remote (others are skipped — already local or in flight). It
-// is also the entry point app-aware guides use to request pages (§4.3).
-// With Config.Batch the whole window is posted per node through one
-// doorbell (fabric.QP.Submit), contiguous remote offsets coalesced into
-// vectored reads; otherwise each page is a solo qp.Read.
-func (s *System) SchedulePrefetch(p *sim.Proc, coreID int, targets []pagetable.VPN) {
-	if len(targets) == 0 {
-		return
-	}
-	if s.Batch {
-		s.schedulePrefetchBatched(p, coreID, targets)
-		return
-	}
-	var noted []pagetable.VPN
-	for _, t := range targets {
-		p.Advance(s.Costs.PrefetchFilter)
-		if s.Table.Lookup(t).Tag() != pagetable.TagRemote {
-			continue
-		}
-		node, remote, ok := s.remoteOf(t)
-		if !ok {
-			continue
-		}
-		qp := s.Hubs[node].QP(coreID, comm.ModPrefetch)
-		frame, ok := s.Mgr.TryAllocFrame(p)
-		if !ok {
-			break // no headroom: prefetching must not force reclamation
-		}
-		s.Pool.Meta(frame).Pinned = true
-		slot := s.newSlot(t, frame)
-		s.Table.Set(t, pagetable.Fetching(slot))
-		op := qp.Read(p.Now(), remote, s.Pool.Bytes(frame))
-		s.slots[slot].op = op
-		s.pfQueue[coreID] = append(s.pfQueue[coreID], pfItem{slot: slot, gen: s.slots[slot].gen})
-		s.Prefetches.Inc()
-		noted = append(noted, t)
-		p.Advance(s.Costs.PrefetchIssue)
-	}
-	if len(noted) > 0 {
-		s.Track.Note(noted)
-		s.pfWaiter[coreID].Wake(p.Now())
-	}
-}
-
 // batchChunk bounds how many WQEs ride behind one doorbell. Real senders
 // (mlx5-style drivers, Leap's window issue) ring the doorbell every few
 // WQEs rather than once at the end of a deep window: an unbounded batch
@@ -538,8 +488,11 @@ func (s *System) SchedulePrefetch(p *sim.Proc, coreID int, targets []pagetable.V
 // while still amortizing the doorbell across the tail.
 const batchChunk = 8
 
-// schedulePrefetchBatched is the doorbell-batched prefetch issue. The
-// window is processed in chunks of batchChunk targets; each chunk runs in
+// SchedulePrefetch issues page prefetches for every target that is
+// currently Remote (others are skipped — already local or in flight). It
+// is also the entry point app-aware guides use to request pages (§4.3).
+// The window is posted per node through doorbell batches
+// (fabric.QP.Submit), in chunks of batchChunk targets; each chunk runs in
 // two phases with no yield anywhere (Advance and Wake never yield), which
 // is what keeps the Fetching-PTE invariant: every published prefetch slot
 // has its op installed before any other process can run.
@@ -558,7 +511,10 @@ const batchChunk = 8
 //
 // All intermediate state lives in the core's scratch arena — a fault in
 // steady state allocates nothing beyond the ops themselves.
-func (s *System) schedulePrefetchBatched(p *sim.Proc, coreID int, targets []pagetable.VPN) {
+func (s *System) SchedulePrefetch(p *sim.Proc, coreID int, targets []pagetable.VPN) {
+	if len(targets) == 0 {
+		return
+	}
 	sc := &s.pfScratch[coreID]
 	sc.noted = sc.noted[:0]
 	if cap(sc.segs) < batchChunk {

@@ -167,11 +167,10 @@ func (s *System) hugeFault(p *sim.Proc, coreID int, vpn pagetable.VPN) bool {
 	var claims []claim
 	for i := 0; i < HugePages; i++ {
 		v := base + pagetable.VPN(i)
-		pte := s.Table.Entry(v)
-		if pte.Tag() != pagetable.TagRemote {
+		old := *s.Table.Entry(v)
+		if old.Tag() != pagetable.TagRemote {
 			continue // already resident or in flight; leave it to its owner
 		}
-		old := *pte
 		node, off, ok := s.remoteOf(v)
 		if !ok {
 			continue
@@ -181,13 +180,9 @@ func (s *System) hugeFault(p *sim.Proc, coreID int, vpn pagetable.VPN) bool {
 		p.Advance(s.Costs.FrameAlloc)
 		slot := s.newSlot(v, frame)
 		s.slots[slot].demand = true
-		if s.shards > 0 {
-			p.Advance(s.Costs.TagCAS)
-			if !s.Table.TryTransition(v, old, pagetable.Fetching(slot)) {
-				panic("core: huge Fetching publish lost a race without a yield")
-			}
-		} else {
-			*pte = pagetable.Fetching(slot)
+		p.Advance(s.Costs.TagCAS)
+		if !s.Table.TryTransition(v, old, pagetable.Fetching(slot)) {
+			panic("core: huge Fetching publish lost a race without a yield")
 		}
 		claims = append(claims, claim{node: node, off: off, buf: s.Pool.Bytes(frame), slot: slot})
 	}

@@ -19,7 +19,6 @@ func newHugeSys(t testing.TB, frames, shards int) (*System, *sim.Engine) {
 		Shards:      shards,
 		RemoteBytes: 256 << 20,
 		Fabric:      fabric.DefaultParams(),
-		Batch:       true,
 	})
 	sys.Start()
 	return sys, eng

@@ -97,11 +97,7 @@ func (s *System) AppendStatus(dst []byte, now sim.Time) []byte {
 		dst = append(dst, s.space.State(i).String()...)
 		dst = append(dst, '\n')
 	}
-	shards := s.shards
-	if shards <= 1 {
-		shards = 1
-	}
-	for sh := 0; sh < shards; sh++ {
+	for sh := 0; sh < s.Pool.Shards(); sh++ {
 		dst = append(dst, "shard "...)
 		dst = strconv.AppendInt(dst, int64(sh), 10)
 		dst = append(dst, " lru_frames="...)

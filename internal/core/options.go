@@ -26,6 +26,9 @@ import (
 //     monitor would only burn probe bandwidth.
 //   - SampleEvery without Tel is rejected — there is nowhere to sample to.
 //   - Migrate tuning must pass migrate.Tuning.Validate.
+//   - Shards (default Cores, or 1 under Tenancy) must not be negative,
+//     and Tenancy takes at most one shard and no WideLocks (tenant
+//     managers never take the wide lock).
 func (c Config) Validate() error {
 	_, err := c.normalized()
 	return err
@@ -89,13 +92,19 @@ func (c Config) normalized() (Config, error) {
 		}
 	}
 	if c.Shards < 0 {
-		return c, fmt.Errorf("core: Shards (%d) is negative; use 0 for the legacy unsharded path", c.Shards)
+		return c, fmt.Errorf("core: Shards (%d) is negative; use 0 for one shard per core", c.Shards)
 	}
-	if c.Shards > 0 && c.Tenancy != nil {
-		return c, fmt.Errorf("core: Shards and Tenancy partition frames along different axes and do not compose; drop one")
+	if c.Shards > 1 && c.Tenancy != nil {
+		return c, fmt.Errorf("core: Shards (%d) and Tenancy partition frames along different axes and do not compose; leave Shards 0", c.Shards)
 	}
-	if c.WideLocks && c.Shards < 1 {
-		return c, fmt.Errorf("core: WideLocks is the shared-structure ablation of the sharded path; it requires Shards >= 1")
+	if c.WideLocks && c.Tenancy != nil {
+		return c, fmt.Errorf("core: WideLocks is an ablation of the single-owner manager; tenant managers never take the wide lock")
+	}
+	if c.Shards == 0 {
+		c.Shards = c.Cores
+		if c.Tenancy != nil {
+			c.Shards = 1
+		}
 	}
 	return c, nil
 }
@@ -178,9 +187,6 @@ func WithChaos(inj *chaos.Injector) Option { return func(c *Config) { c.Chaos = 
 // WithHealth overrides the health monitor tuning (requires WithChaos).
 func WithHealth(hc HealthConfig) Option { return func(c *Config) { c.Health = &hc } }
 
-// WithBatch enables doorbell-batched submission on the hot I/O paths.
-func WithBatch() Option { return func(c *Config) { c.Batch = true } }
-
 // WithMigration starts the elastic-pool migration engine with the given
 // tuning (zero values → defaults), enabling Drain, AddMemNode
 // rebalancing, and watermark auto-rebalance.
@@ -190,11 +196,10 @@ func WithMigration(t migrate.Tuning) Option { return func(c *Config) { c.Migrate
 // System.NewTenant before Start.
 func WithTenancy(t TenancyConfig) Option { return func(c *Config) { c.Tenancy = &t } }
 
-// WithShards shards the paging hot path into n per-core shards
-// (shared-nothing LRU lists, per-shard cleaner/reclaimer pairs, CAS page
-// transitions). Typically n = Cores.
+// WithShards sets the number of per-core paging shards (shared-nothing
+// LRU lists, per-shard cleaner/reclaimer pairs). The default is Cores.
 func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
 
 // WithWideLocks enables the coarse shared-lock baseline over the sharded
-// machinery (requires WithShards) — ext10's ablation arm.
+// machinery — ext10's ablation arm.
 func WithWideLocks() Option { return func(c *Config) { c.WideLocks = true } }

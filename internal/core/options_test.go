@@ -8,6 +8,7 @@ import (
 	"dilos/internal/fabric"
 	"dilos/internal/memnode"
 	"dilos/internal/migrate"
+	"dilos/internal/pagemgr"
 	"dilos/internal/sim"
 	"dilos/internal/telemetry"
 )
@@ -75,6 +76,10 @@ func TestConfigValidateRules(t *testing.T) {
 		{"tenancy negative rebalance period", func(c *Config) {
 			c.Tenancy = &TenancyConfig{RebalanceEvery: -sim.Millisecond}
 		}, "RebalanceEvery"},
+		{"tenancy with wide locks", func(c *Config) {
+			c.Tenancy = &TenancyConfig{}
+			c.WideLocks = true
+		}, "WideLocks"},
 		{"tenancy valid", func(c *Config) {
 			c.Tenancy = &TenancyConfig{SlackFrames: 8, RebalanceEvery: sim.Millisecond, RebalanceStep: 4}
 		}, ""},
@@ -156,4 +161,93 @@ func TestNewSystemReturnsValidationError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Cores") {
 		t.Fatalf("error %v, want Cores requirement", err)
 	}
+}
+
+func TestConfigNormalizedShards(t *testing.T) {
+	// One page-manager configuration: Shards defaults to one per core (one
+	// under Tenancy, whose views each keep a single list), and Tenancy
+	// with more than one shard is an error, never a panic.
+	base := Config{CacheFrames: 64, Cores: 3, RemoteBytes: 1 << 20}
+	cases := []struct {
+		name   string
+		mut    func(*Config)
+		shards int    // resolved shard count when valid
+		want   string // error substring, "" = valid
+	}{
+		{"unset defaults to cores", func(c *Config) {}, 3, ""},
+		{"explicit count kept", func(c *Config) { c.Shards = 2 }, 2, ""},
+		{"tenancy defaults to one", func(c *Config) { c.Tenancy = &TenancyConfig{} }, 1, ""},
+		{"tenancy with one shard", func(c *Config) {
+			c.Tenancy = &TenancyConfig{}
+			c.Shards = 1
+		}, 1, ""},
+		{"tenancy with two shards", func(c *Config) {
+			c.Tenancy = &TenancyConfig{}
+			c.Shards = 2
+		}, 0, "Tenancy"},
+		{"negative", func(c *Config) { c.Shards = -1 }, 0, "negative"},
+	}
+	for _, tc := range cases {
+		cfg := base
+		tc.mut(&cfg)
+		n, err := cfg.normalized()
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+			}
+			sys, err := NewSystem(sim.New(), WithConfig(cfg))
+			if sys != nil || err == nil {
+				t.Errorf("%s: NewSystem accepted the config", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+			continue
+		}
+		if n.Shards != tc.shards {
+			t.Errorf("%s: Shards = %d, want %d", tc.name, n.Shards, tc.shards)
+		}
+		if got := New(sim.New(), cfg).Pool.Shards(); got != tc.shards {
+			t.Errorf("%s: manager sweeps %d shards, want %d", tc.name, got, tc.shards)
+		}
+	}
+}
+
+func TestDeprecatedBatchFalseStillRingsDoorbells(t *testing.T) {
+	// Config.Batch is ignored: a system that asks for per-op submission
+	// still writes back through doorbell batches on its first cleaner
+	// sweep. The pool sits far above the high watermark, so the reclaimer
+	// never cleans on its own and every doorbell is the cleaner's.
+	mcfg := pagemgr.DefaultConfig(256)
+	mcfg.CleanerPeriod = 100 * sim.Microsecond
+	eng := sim.New()
+	sys := New(eng, Config{
+		CacheFrames: 256,
+		Cores:       1,
+		RemoteBytes: 1 << 20,
+		Fabric:      fabric.DefaultParams(),
+		Mgr:         &mcfg,
+		Batch:       false,
+	})
+	sys.Start()
+	const pages = 8
+	sys.Launch("app", 0, func(sp *DDCProc) {
+		base, _ := sys.MmapDDC(pages)
+		for i := uint64(0); i < pages; i++ {
+			sp.StoreU64(base+i*PageSize, i)
+		}
+		if now := sp.Proc().Now(); now >= mcfg.CleanerPeriod {
+			t.Fatalf("stores finished at %v, after the first sweep", now)
+		}
+		// Between the first sweep (one period in) and the second.
+		sp.Proc().Sleep(3*mcfg.CleanerPeriod/2 - sp.Proc().Now())
+		if n := sys.Link.Batches.N; n != 1 {
+			t.Errorf("first cleaner sweep rang %d doorbells, want 1", n)
+		}
+		if n := sys.Mgr.Cleaned.N; n != pages {
+			t.Errorf("first cleaner sweep cleaned %d pages, want %d", n, pages)
+		}
+	})
+	eng.Run()
 }

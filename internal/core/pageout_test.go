@@ -18,7 +18,6 @@ func poSystem(frames int) (*sim.Engine, *System) {
 		Cores:       2,
 		RemoteBytes: 64 << 20,
 		Fabric:      fabric.DefaultParams(),
-		Batch:       true,
 	})
 	sys.Start()
 	return eng, sys

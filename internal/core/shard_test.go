@@ -23,7 +23,6 @@ func TestShardedSameSeedByteIdentical(t *testing.T) {
 			Shards:      cores,
 			RemoteBytes: 64 << 20,
 			Fabric:      fabric.DefaultParams(),
-			Batch:       true,
 		})
 		sys.Start()
 		base, err := sys.MmapDDC(uint64(cores * partPages))

@@ -51,15 +51,14 @@ type Costs struct {
 	PrefetchFilter sim.Time // per prefetch candidate examined (PTE lookup)
 	ZeroFill       sim.Time // scrub a frame before a vectored (partial) fetch
 	// PrefetchWQE is the CPU cost of building one additional work-queue
-	// entry when the prefetch window is submitted as a doorbell batch
-	// (Config.Batch): the first request of a batch pays the full
-	// PrefetchIssue (doorbell write included), the rest only this.
+	// entry when a prefetch window is submitted as a doorbell batch: the
+	// first request of a batch pays the full PrefetchIssue (doorbell write
+	// included), the rest only this. A lone request is a batch of one.
 	PrefetchWQE sim.Time
 	// TagCAS is the cost of one narrow PTE tag transition
 	// (pagetable.TryTransition) — the compare-and-swap the sharded fault
 	// path performs instead of a read-modify-write under a wide critical
-	// section. Charged only when Config.Shards > 0; legacy runs are
-	// untouched.
+	// section.
 	TagCAS sim.Time
 }
 
@@ -178,12 +177,11 @@ type Config struct {
 	// Health overrides the health monitor tuning (nil → DefaultHealthConfig
 	// when Chaos is set; ignored otherwise unless explicitly provided).
 	Health *HealthConfig
-	// Batch enables doorbell-batched submission on the hot I/O paths: the
-	// prefetcher posts its whole window per node through one doorbell
-	// (fabric.QP.Submit) with contiguous remote offsets coalesced into
-	// vectored reads, and the page manager's cleaner/reclaimer batch their
-	// write-backs (replicas included) the same way. Off by default so the
-	// per-op calibration numbers are unchanged; ext5 measures the win.
+	// Batch is ignored: the prefetcher, the huge-region fetch and the
+	// page manager's cleaner/reclaimer always post through doorbell
+	// batches (fabric.QP.Submit).
+	//
+	// Deprecated: doorbell-batched submission is the only mode.
 	Batch bool
 	// Migrate, when set, starts the elastic-pool migration engine
 	// (internal/migrate): System.Drain evacuates a node for removal,
@@ -196,20 +194,19 @@ type Config struct {
 	// frame quota) out of this host, sharing the pool, fabric, and
 	// background services. See tenant.go.
 	Tenancy *TenancyConfig
-	// Shards shards the paging hot path per core: the frame pool keeps
-	// one LRU/clock list per shard (frames home to the faulting core), the
-	// page manager runs one cleaner/reclaimer pair per shard over
-	// per-shard scratch, and PTE transitions become narrow full-value
-	// CASes charged at Costs.TagCAS. 0 (default) keeps the legacy
-	// single-list layout byte-identical; typically set to Cores.
-	// Incompatible with Tenancy (the two partition frames along
-	// different axes).
+	// Shards is the number of per-core paging shards: the frame pool
+	// keeps one LRU/clock list per shard (frames home to the faulting
+	// core), the page manager runs one cleaner/reclaimer pair per shard
+	// over per-shard scratch, and PTE transitions are narrow full-value
+	// CASes charged at Costs.TagCAS. 0 (default) means Cores, or 1 under
+	// Tenancy; Tenancy rejects more than one shard (the two partition
+	// frames along different axes).
 	Shards int
-	// WideLocks, with Shards ≥ 1, models the coarse shared-structure
-	// baseline the sharding replaces: one virtual-time lock held by the
-	// cleaner/reclaimer across entire sweeps (pacing waits included) and
-	// acquired by every fault handler around its PTE transitions. Ablation
-	// only — ext10's "shared" arm.
+	// WideLocks models the coarse shared-structure baseline the sharding
+	// replaces: one virtual-time lock held by the cleaner/reclaimer across
+	// entire sweeps (pacing waits included) and acquired by every fault
+	// handler around its PTE transitions. Ablation only — ext10's "shared"
+	// arm.
 	WideLocks bool
 }
 
@@ -287,9 +284,8 @@ type System struct {
 	cores       int
 	sharedQP    bool
 
-	// Sharded fault path (Config.Shards / Config.WideLocks). huge holds the
-	// 2 MB regions MmapDDCHuge registered, sorted by base VPN.
-	shards    int
+	// The wide-lock ablation (Config.WideLocks). huge holds the 2 MB
+	// regions MmapDDCHuge registered, sorted by base VPN.
 	wideLocks bool
 	huge      []hugeSpan
 
@@ -324,9 +320,6 @@ type System struct {
 
 	slots     []inflight
 	freeSlots []uint64
-
-	// Batch mirrors Config.Batch (doorbell-batched submission).
-	Batch bool
 
 	pfQueue  [][]pfItem
 	pfWaiter []sim.Waiter
@@ -434,20 +427,16 @@ func build(eng *sim.Engine, cfg Config) *System {
 	link := links[0]
 	tbl := pagetable.New()
 	pool := dram.NewPool(cfg.CacheFrames)
-	if cfg.Shards > 1 {
-		pool.SetShards(cfg.Shards)
-	}
+	pool.SetShards(cfg.Shards)
 	mcfg := pagemgr.DefaultConfig(cfg.CacheFrames)
 	if cfg.Mgr != nil {
 		mcfg = *cfg.Mgr
 	}
-	if cfg.Shards > 0 && mcfg.TagCAS == 0 {
+	if mcfg.TagCAS == 0 {
 		mcfg.TagCAS = DefaultCosts().TagCAS
 	}
 	mgr := pagemgr.New(pool, tbl, mcfg)
 	mgr.Guide = cfg.EvictionGuide
-	mgr.Batch = cfg.Batch
-	mgr.Shards = cfg.Shards
 	if cfg.WideLocks {
 		mgr.Wide = &sim.Lock{}
 	}
@@ -489,12 +478,10 @@ func build(eng *sim.Engine, cfg Config) *System {
 			Policy:   cfg.Placement,
 		}),
 		Chaos:       cfg.Chaos,
-		Batch:       cfg.Batch,
 		remoteBytes: cfg.RemoteBytes,
 		fabricP:     cfg.Fabric,
 		cores:       cfg.Cores,
 		sharedQP:    cfg.SharedQP,
-		shards:      cfg.Shards,
 		wideLocks:   cfg.WideLocks,
 		tenancy:     cfg.Tenancy,
 		policy:      cfg.Placement,
@@ -538,16 +525,11 @@ func build(eng *sim.Engine, cfg Config) *System {
 			s.telPf[c] = cfg.Tel.Track(fmt.Sprintf("pfmap%d", c))
 		}
 		mgr.Tel = cfg.Tel
-		if cfg.Shards > 1 {
-			mgr.CleanTracks = make([]int, cfg.Shards)
-			mgr.ReclaimTracks = make([]int, cfg.Shards)
-			for sh := 0; sh < cfg.Shards; sh++ {
-				mgr.CleanTracks[sh] = cfg.Tel.Track(fmt.Sprintf("clean/shard%d", sh))
-				mgr.ReclaimTracks[sh] = cfg.Tel.Track(fmt.Sprintf("reclaim/shard%d", sh))
-			}
-		} else {
-			mgr.CleanTrack = cfg.Tel.Track("cleaner")
-			mgr.ReclaimTrack = cfg.Tel.Track("reclaimer")
+		mgr.CleanTracks = make([]int, cfg.Shards)
+		mgr.ReclaimTracks = make([]int, cfg.Shards)
+		for sh := 0; sh < cfg.Shards; sh++ {
+			mgr.CleanTracks[sh] = cfg.Tel.Track(fmt.Sprintf("clean/shard%d", sh))
+			mgr.ReclaimTracks[sh] = cfg.Tel.Track(fmt.Sprintf("reclaim/shard%d", sh))
 		}
 		for i, l := range links {
 			l.Tel = cfg.Tel
@@ -853,7 +835,6 @@ func (s *System) Start() {
 		s.svc = pagemgr.NewService()
 		s.svc.Attach(s.Mgr)
 	}
-	s.svc.Shards = s.shards
 	s.svc.Start(s.Eng)
 	for c := 0; c < s.Hub.Cores(); c++ {
 		c := c
@@ -947,8 +928,8 @@ func (s *System) GoDaemon(name string, fn func(p *sim.Proc)) { s.Eng.GoDaemon(na
 // Prefetch implements guide.Host: the typed prefetch-request entry point
 // wrapping the prefetcher's issue path. The request's pages (explicit or
 // expanded from its byte range) go through SchedulePrefetch, which filters
-// pages already local or in flight and — with Config.Batch — posts the
-// window through per-node doorbells.
+// pages already local or in flight and posts the window through per-node
+// doorbells.
 func (s *System) Prefetch(p *sim.Proc, coreID int, req guide.Request) {
 	s.guideVPNs = req.VPNs(s.guideVPNs[:0])
 	s.SchedulePrefetch(p, coreID, s.guideVPNs)

@@ -150,7 +150,6 @@ func TestTelemetryFaultPathAllocs(t *testing.T) {
 		RemoteBytes: 64 << 20,
 		Fabric:      fabric.DefaultParams(),
 		Prefetcher:  prefetch.NewReadahead(31),
-		Batch:       true,
 		Tel:         telemetry.NewRecorder(1 << 16),
 	})
 	sys.Start()

@@ -155,8 +155,9 @@ func (s *System) NewTenant(spec TenantSpec) (*Tenant, error) {
 
 	pfx := "tenant." + spec.Name + "."
 	tbl := pagetable.New()
-	mgr := pagemgr.New(view, tbl, pagemgr.DefaultConfig(view.Capacity()))
-	mgr.Batch = s.Batch
+	mcfg := pagemgr.DefaultConfig(view.Capacity())
+	mcfg.TagCAS = s.Mgr.Cfg.TagCAS
+	mgr := pagemgr.New(view, tbl, mcfg)
 	mgr.PrefixStats(pfx)
 
 	var bucket *tenant.Bucket
@@ -207,7 +208,6 @@ func (s *System) NewTenant(spec TenantSpec) (*Tenant, error) {
 			Policy:   s.policy,
 		}),
 		Chaos:       s.Chaos,
-		Batch:       s.Batch,
 		remoteBytes: s.remoteBytes,
 		fabricP:     s.fabricP,
 		cores:       s.cores,
@@ -244,8 +244,8 @@ func (s *System) NewTenant(spec TenantSpec) (*Tenant, error) {
 			ts.telPf[c] = s.Tel.Track(fmt.Sprintf("%spfmap%d", pfx, c))
 		}
 		mgr.Tel = s.Tel
-		mgr.CleanTrack = s.Tel.Track(pfx + "cleaner")
-		mgr.ReclaimTrack = s.Tel.Track(pfx + "reclaimer")
+		mgr.CleanTracks = []int{s.Tel.Track(pfx + "cleaner")}
+		mgr.ReclaimTracks = []int{s.Tel.Track(pfx + "reclaimer")}
 	}
 	// Per-tenant retry jitter stream: derived from the host's seed material
 	// plus the admission index so tenants never share a sequence.

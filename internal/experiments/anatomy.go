@@ -121,7 +121,6 @@ func runAnatomy(kind SystemKind, pages uint64, frac float64) telemetry.Anatomy {
 			RemoteBytes: pages*core.PageSize + (64 << 20),
 			Fabric:      fabric.DefaultParams(),
 			Prefetcher:  pfFor(kind),
-			Batch:       Batch,
 			Tel:         rec,
 			SampleEvery: SampleEvery,
 		}

@@ -30,21 +30,16 @@ import (
 // after the simulation finishes, so they cover the whole run.
 var Collect func(label string, snap stats.Snapshot)
 
-// Batch, when set, boots every DiLOS system the experiments construct with
-// doorbell-batched submission (core.Config.Batch) — cmd/dilosbench wires
-// it to -batch. Ext5 toggles it per leg to measure the win directly.
-var Batch bool
-
 // CoreCount, when positive, overrides the 4-core default of the systems
-// the figure/table experiments boot and switches DiLOS to the per-core
-// sharded page manager (Shards = CoreCount) — cmd/dilosbench wires it to
-// -cores. Zero keeps every experiment's committed default configuration
-// (legacy unsharded manager), so the published numbers are untouched.
+// the figure/table experiments boot (DiLOS then runs one paging shard per
+// core) — cmd/dilosbench wires it to -cores. Zero keeps every
+// experiment's committed default configuration.
 var CoreCount int
 
 // WideLocks, when set alongside CoreCount, boots DiLOS systems with the
-// shared-structure wide-lock baseline instead of the sharded manager —
-// the ablation arm ext10 measures, exposed for ad-hoc -cores runs.
+// shared-structure wide-lock baseline (one shard, one manager-wide lock)
+// instead of per-core shards — the ablation arm ext10 measures, exposed
+// for ad-hoc -cores runs.
 var WideLocks bool
 
 // applyCores applies the -cores override to one DiLOS config.
@@ -56,8 +51,6 @@ func applyCores(cfg *core.Config) {
 	if WideLocks {
 		cfg.Shards = 1
 		cfg.WideLocks = true
-	} else {
-		cfg.Shards = CoreCount
 	}
 }
 
@@ -200,7 +193,6 @@ func dilos(eng *sim.Engine, wsPages uint64, frac float64, pf prefetch.Prefetcher
 		Fabric:        params,
 		Prefetcher:    pf,
 		EvictionGuide: eg,
-		Batch:         Batch,
 		Tel:           recorderFor(),
 		SampleEvery:   SampleEvery,
 	}

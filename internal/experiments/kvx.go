@@ -112,7 +112,6 @@ func ext12Run(arm string, frac float64, seed uint64) (KVRow, []byte) {
 		RemoteBytes: wsPages*core.PageSize + (64 << 20),
 		Fabric:      fabric.DefaultParams(),
 		Prefetcher:  pf,
-		Batch:       true,
 		Tel:         recorderFor(),
 		SampleEvery: SampleEvery,
 	}

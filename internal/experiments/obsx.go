@@ -17,7 +17,7 @@ import (
 // This file holds ext11: the price and the payoff of the always-on
 // observability plane (internal/obs). Three questions, three legs:
 //
-//   - Overhead: the ext5 sequential-read throughput plane with the full
+//   - Overhead: the 12.5 %-cache sequential-read throughput with the full
 //     plane attached (SLO monitor + journal + tail-sampled flight
 //     recorder) versus plane-off. The plane runs entirely in host time,
 //     so the virtual-time throughput must be *identical*, not merely
@@ -62,7 +62,7 @@ func Ext11DetectBudget() sim.Time { return ext11DetectBudget }
 type ObsResult struct {
 	Seed uint64
 
-	// Overhead leg: ext5-style sequential read at 12.5 % cache.
+	// Overhead leg: sequential read at 12.5 % cache.
 	OffElapsed sim.Time // plane off
 	OnElapsed  sim.Time // plane on (monitor + journal + sampled recorder)
 	OffGBs     float64
@@ -96,7 +96,7 @@ func ext11Plane() *obs.Plane {
 	return pl
 }
 
-// ext11Seq runs the ext5 sequential-read leg (12.5 % cache, 31-page
+// ext11Seq runs the sequential-read leg (12.5 % cache, 31-page
 // readahead) with the given plane (nil = plane off) and returns elapsed
 // virtual time plus the system for post-run inspection.
 func ext11Seq(sc Scale, pl *obs.Plane) (sim.Time, *core.System) {

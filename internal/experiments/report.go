@@ -41,7 +41,6 @@ func init() {
 	reg("ext2", "extension: PageRank thread scaling on DiLOS", runExt2)
 	reg("ext3", "extension: placement policies across 4 memory nodes", runExt3)
 	reg("ext4", "extension: chaos — node crash, failover, recovery", runExt4)
-	reg("ext5", "extension: doorbell-batched vs per-op submission", runExt5)
 	reg("ext6", "extension: per-fault latency anatomy from the flight recorder", runExt6)
 	reg("ext7", "extension: elastic pool — live drain + migration under load", runExt7)
 	reg("ext8", "extension: multi-tenant pool — noisy neighbour vs QoS quotas", runExt8)
@@ -73,7 +72,6 @@ func init() {
 	RegisterJSON("ext2", func(sc Scale) any { return ExtThreadScaling(sc) })
 	RegisterJSON("ext3", func(sc Scale) any { return ExtPlacement(sc) })
 	RegisterJSON("ext4", func(sc Scale) any { return ExtChaos(sc, ChaosSeed) })
-	RegisterJSON("ext5", func(sc Scale) any { return ExtBatch(sc) })
 	RegisterJSON("ext6", func(sc Scale) any { return ExtAnatomy(sc) })
 	RegisterJSON("ext7", func(sc Scale) any { return ExtElastic(sc, ChaosSeed) })
 	RegisterJSON("ext8", func(sc Scale) any { return ExtTenant(sc) })
@@ -353,46 +351,6 @@ func runExt4(sc Scale) {
 	fmt.Printf("  breaker: %d trip(s), %d recovery(ies)\n", r.NodeFails, r.NodeRecoveries)
 	fmt.Println("  throughput over time (1ms buckets):")
 	fmt.Printf("    %s\n", floatSparkline(r.Series))
-}
-
-func runExt5(sc Scale) {
-	fmt.Println("Extension — doorbell-batched I/O pipeline (ext5): per-op vs batched submission")
-	fmt.Println("  [12.5% local cache; batched = one doorbell per prefetch window / cleaner")
-	fmt.Println("   node-batch, contiguous remote offsets coalesced into ≤3-segment vectors]")
-	rows := ExtBatch(sc)
-	fmt.Printf("  %-22s %-8s %-34s %9s %7s %9s\n",
-		"workload", "mode", "result", "doorbells", "ops/db", "coalesced")
-	var base BatchRow
-	for _, r := range rows {
-		var result string
-		var cur, ref float64
-		switch {
-		case r.ReadGBs > 0:
-			result = fmt.Sprintf("%.2f GB/s", r.ReadGBs)
-			cur, ref = r.ReadGBs, base.ReadGBs
-		case r.WriteGBs > 0:
-			result = fmt.Sprintf("%.2f GB/s (wb %.2f GB/s)", r.WriteGBs, r.CleanGBs)
-			cur, ref = r.WriteGBs, base.WriteGBs
-		case r.OpsPerS > 0:
-			result = fmt.Sprintf("%.1f kops/s", r.OpsPerS/1e3)
-			cur, ref = r.OpsPerS, base.OpsPerS
-		default:
-			result = fmt.Sprintf("%.2f ms", r.Elapsed.Seconds()*1e3)
-			cur, ref = 1/r.Elapsed.Seconds(), 1/base.Elapsed.Seconds()
-		}
-		mode := "per-op"
-		if r.Batched {
-			mode = "batched"
-			if ref > 0 {
-				result += fmt.Sprintf("  %+.1f%%", (cur/ref-1)*100)
-			}
-		} else {
-			base = r
-		}
-		fmt.Printf("  %-22s %-8s %-34s %9d %7.1f %9d\n",
-			r.Workload, mode, result, r.Doorbells, r.MeanBatch, r.Coalesced)
-	}
-	fmt.Println("  (paper has no batched variant; the per-op rows are the §6 baseline shapes)")
 }
 
 func runExt6(sc Scale) {

@@ -79,7 +79,6 @@ func runScalingLeg(sc Scale, cores int, sharded bool) (int64, sim.Time, sim.Time
 		// the cleaner/reclaimer daemons — parallel per-shard work in the
 		// sharded arm, lock-hold time in the shared arm.
 		Replicas:    2,
-		Batch:       true,
 		Tel:         recorderFor(),
 		SampleEvery: SampleEvery,
 	}
@@ -88,9 +87,7 @@ func runScalingLeg(sc Scale, cores int, sharded bool) (int64, sim.Time, sim.Time
 	mcfg := pagemgr.DefaultConfig(cfg.CacheFrames)
 	mcfg.CleanerPeriod = 10 * sim.Microsecond
 	cfg.Mgr = &mcfg
-	if sharded {
-		cfg.Shards = cores
-	} else {
+	if !sharded {
 		cfg.Shards = 1
 		cfg.WideLocks = true
 	}

@@ -160,7 +160,6 @@ func runTenantLeg(sz tenantSizing, mode tenantLegMode) tenantLeg {
 		Cores:       2,
 		RemoteBytes: (sz.hot+sz.cold+sz.aggr)*core.PageSize + (64 << 20),
 		Fabric:      fabric.DefaultParams(),
-		Batch:       Batch,
 		Tenancy:     &tc,
 		Tel:         rec,
 		SampleEvery: SampleEvery,

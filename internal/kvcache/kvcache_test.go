@@ -24,7 +24,6 @@ func kvSystem(frames int) (*sim.Engine, *core.System) {
 		Cores:       2,
 		RemoteBytes: 256 << 20,
 		Fabric:      fabric.DefaultParams(),
-		Batch:       true,
 		Mgr:         &mcfg,
 	})
 	return eng, sys

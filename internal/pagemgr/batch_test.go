@@ -8,13 +8,12 @@ import (
 	"dilos/internal/sim"
 )
 
-// The batched cleaner must be behavior-identical to the per-op cleaner —
-// same pages cleaned, same bytes landed — while coalescing contiguous
-// remote offsets and ringing one doorbell per queue pair.
+// The cleaner pass must clean every dirty page and land its bytes while
+// coalescing contiguous remote offsets and ringing one doorbell per queue
+// pair.
 func TestCleanPassBatchedCoalescesAndCleans(t *testing.T) {
 	const n = 8
 	f := newFixture(t, 16, 16, DefaultConfig(16))
-	f.mgr.Batch = true
 	for v := pagetable.VPN(0); v < n; v++ {
 		f.mapPage(v, true, byte(0xa0+v))
 	}
@@ -52,7 +51,6 @@ func TestCleanPassBatchedCoalescesAndCleans(t *testing.T) {
 func TestCleanerSweepAllocs(t *testing.T) {
 	const n = 32
 	f := newFixture(t, 64, 64, DefaultConfig(64))
-	f.mgr.Batch = true
 	var ptes [n]pagetable.PTE
 	for v := pagetable.VPN(0); v < n; v++ {
 		f.mapPage(v, true, byte(v))
@@ -82,7 +80,6 @@ func TestCleanerSweepAllocs(t *testing.T) {
 func TestCleanerSweepAllocsGuided(t *testing.T) {
 	const n = 32
 	f := newFixture(t, 64, 64, DefaultConfig(64))
-	f.mgr.Batch = true
 	f.mgr.Guide = staticGuide{chunks: []Chunk{{Off: 0, Len: 512}, {Off: 2048, Len: 1024}}}
 	var ptes [n]pagetable.PTE
 	for v := pagetable.VPN(0); v < n; v++ {

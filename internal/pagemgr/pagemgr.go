@@ -64,7 +64,7 @@ type Config struct {
 	CleanerBatch  int      // max pages written back per cleaner pass
 	ScanCost      sim.Time // CPU cost per frame examined by a daemon
 	UnmapCost     sim.Time // CPU cost of one unmap + shootdown
-	TagCAS        sim.Time // CPU cost of one narrow PTE tag transition (sharded mode only; 0 = uncharged)
+	TagCAS        sim.Time // CPU cost of one narrow PTE tag transition (0 = uncharged)
 }
 
 // DefaultConfig sizes watermarks for a pool of `frames` frames.
@@ -124,21 +124,6 @@ type Manager struct {
 	// HugeRegions). Wired by core.System on the first MmapDDCHuge call.
 	Huge HugeRegions
 
-	// Batch enables doorbell-batched write-backs: the cleaner sweeps its
-	// dirty set first, groups targets by queue pair (one per memory node,
-	// replicas included), coalesces contiguous remote offsets into vectored
-	// writes, and posts each node's set through a single doorbell
-	// (fabric.QP.Submit). The reclaimer's emergency clean does the same on
-	// its own queue pair. Off by default: the per-op path is the paper's
-	// calibrated baseline.
-	Batch bool
-
-	// Shards is the number of per-core LRU/clock shards this manager
-	// sweeps (0 or 1 = the legacy single-list layout; must match
-	// Pool.Shards()). With n > 1 the service runs one cleaner/reclaimer
-	// pair per shard and each pair touches only its own list and scratch.
-	Shards int
-
 	// Wide, when set, is the modeled coarse page-manager lock: daemons
 	// hold it across a whole sweep (including the pacing wait) and the
 	// fault handler acquires it around every PTE transition. It exists so
@@ -151,7 +136,7 @@ type Manager struct {
 
 	// Per-shard, per-daemon scratch arenas for batched write-backs (the
 	// cleaner and the reclaimer can interleave across yields — and shards
-	// across each other — so none may share). Index 0 serves legacy mode.
+	// across each other — so none may share).
 	cleanScs   []wbScratch
 	reclaimScs []wbScratch
 
@@ -183,29 +168,12 @@ type Manager struct {
 	HighWaterG stats.Gauge
 
 	// Tel, when set, records one span per cleaner pass that wrote pages
-	// back (on CleanTrack, Arg = pages cleaned) and one per reclaimer
-	// eviction step (on ReclaimTrack). Wired by the owning system. In
-	// sharded mode CleanTracks/ReclaimTracks carry one track per shard
-	// (clean/shard0, reclaim/shard1, ...) instead.
+	// back (on CleanTracks[shard], Arg = pages cleaned) and one per
+	// reclaimer eviction step (on ReclaimTracks[shard]). Wired by the
+	// owning system, one track per shard (clean/shard0, reclaim/shard1, ...).
 	Tel           *telemetry.Recorder
-	CleanTrack    int
-	ReclaimTrack  int
 	CleanTracks   []int
 	ReclaimTracks []int
-}
-
-func (m *Manager) cleanTrackFor(shard int) int {
-	if shard < len(m.CleanTracks) {
-		return m.CleanTracks[shard]
-	}
-	return m.CleanTrack
-}
-
-func (m *Manager) reclaimTrackFor(shard int) int {
-	if shard < len(m.ReclaimTracks) {
-		return m.ReclaimTracks[shard]
-	}
-	return m.ReclaimTrack
 }
 
 // cleanScFor returns the cleaner's scratch arena for one shard, growing
@@ -364,23 +332,16 @@ func (m *Manager) TryAllocFrame(p *sim.Proc) (dram.FrameID, bool) {
 	return m.Pool.Alloc()
 }
 
-// InsertLRU registers a freshly mapped frame with the LRU list (shard 0 —
-// the legacy single-list entry point).
+// InsertLRU registers a freshly mapped frame with shard 0's LRU list.
 func (m *Manager) InsertLRU(id dram.FrameID, vpn pagetable.VPN) {
 	m.InsertLRUFor(0, id, vpn)
 }
 
 // InsertLRUFor registers a freshly mapped frame with the faulting core's
-// home shard. With sharding off every core folds to shard 0, so the call
-// is byte-identical to InsertLRU.
+// home shard.
 func (m *Manager) InsertLRUFor(core int, id dram.FrameID, vpn pagetable.VPN) {
-	meta := m.Pool.Meta(id)
-	meta.VPN = vpn
-	shard := 0
-	if m.Shards > 1 {
-		shard = core % m.Shards
-	}
-	m.Pool.LRUPushBackOn(shard, id)
+	m.Pool.Meta(id).VPN = vpn
+	m.Pool.LRUPushBackOn(core%m.Pool.Shards(), id)
 }
 
 // Vector returns the chunks stored under an action payload and releases
@@ -431,19 +392,15 @@ func (m *Manager) storeVector(chunks []Chunk) uint64 {
 }
 
 // Service owns the cleaner and reclaimer daemons: one pair of background
-// processes serving every attached Manager. In single-owner mode exactly
-// one manager is attached and the loops reduce to the original per-manager
-// daemons; in multi-tenant mode the shared daemons sweep each tenant's own
+// processes per LRU shard of the managers' pools (pagemgr.cleaner0,
+// pagemgr.reclaimer0, ...) serving every attached Manager. Daemon pair k
+// sweeps only shard k of each manager, and each pair touches only its own
+// list and scratch. In multi-tenant mode the shared daemons sweep each tenant's own
 // LRU/dirty state in attach order — the work stays per-tenant (and is
 // charged to the tenant's queue pairs and counters), only the scheduling
 // vehicle is shared.
 type Service struct {
-	mgrs []*Manager
-	// Shards, when > 1, runs one cleaner/reclaimer daemon pair per shard
-	// (pagemgr.cleaner0, pagemgr.reclaimer0, ...); each pair sweeps only
-	// its shard of every attached sharded manager. 0 or 1 keeps the
-	// legacy two daemons with the legacy names — byte-identical runs.
-	Shards      int
+	mgrs        []*Manager
 	needReclaim sim.Waiter // reclaimer parks here when all pools are above high water
 }
 
@@ -460,36 +417,21 @@ func (s *Service) Attach(m *Manager) {
 	s.mgrs = append(s.mgrs, m)
 }
 
-// Start launches the cleaner and reclaimer daemons: the legacy pair for
-// an unsharded service, or one pair per shard when Shards > 1.
+// Start launches one cleaner/reclaimer daemon pair per shard of the most
+// sharded attached manager.
 func (s *Service) Start(eng *sim.Engine) {
 	if len(s.mgrs) == 0 {
 		panic("pagemgr: Start with no managers attached")
 	}
-	if s.Shards <= 1 {
-		eng.GoDaemon("pagemgr.cleaner", func(p *sim.Proc) { s.cleanerLoop(p, 0) })
-		eng.GoDaemon("pagemgr.reclaimer", func(p *sim.Proc) { s.reclaimerLoop(p, 0) })
-		return
+	shards := 0
+	for _, m := range s.mgrs {
+		shards = max(shards, m.Pool.Shards())
 	}
-	for i := 0; i < s.Shards; i++ {
+	for i := 0; i < shards; i++ {
 		shard := i
 		eng.GoDaemon(fmt.Sprintf("pagemgr.cleaner%d", shard), func(p *sim.Proc) { s.cleanerLoop(p, shard) })
 		eng.GoDaemon(fmt.Sprintf("pagemgr.reclaimer%d", shard), func(p *sim.Proc) { s.reclaimerLoop(p, shard) })
 	}
-}
-
-// shardOf maps a service daemon's shard index onto one manager: a sharded
-// manager is swept shard-for-shard; a single-list manager (legacy or a
-// tenant view) is swept only by daemon 0 so its list is never scanned
-// twice per period.
-func shardOf(m *Manager, shard int) (int, bool) {
-	if m.Shards > 1 {
-		if shard < m.Shards {
-			return shard, true
-		}
-		return 0, false
-	}
-	return 0, shard == 0
 }
 
 // cleanerLoop periodically writes dirty pages back to the memory node and
@@ -500,9 +442,8 @@ func (s *Service) cleanerLoop(p *sim.Proc, shard int) {
 	for {
 		p.Sleep(s.mgrs[0].Cfg.CleanerPeriod)
 		for _, m := range s.mgrs {
-			sh, ok := shardOf(m, shard)
-			if !ok {
-				continue
+			if shard >= m.Pool.Shards() {
+				continue // a less-sharded manager's list is swept by a lower daemon
 			}
 			if m.Throttled != nil && m.Throttled(p.Now()) {
 				continue // this owner's dirty set drains at its own rate
@@ -512,11 +453,11 @@ func (s *Service) cleanerLoop(p *sim.Proc, shard int) {
 				// wait included — sits inside the coarse lock, so every
 				// fault handler transition queues behind it.
 				m.Wide.Acquire(p)
-				m.cleanPass(p, sh)
+				m.cleanPass(p, shard)
 				m.Wide.Release(p)
 				continue
 			}
-			m.cleanPass(p, sh)
+			m.cleanPass(p, shard)
 		}
 	}
 }
@@ -531,8 +472,7 @@ func (s *Service) reclaimerLoop(p *sim.Proc, shard int) {
 	for {
 		idle, evicted := true, false
 		for _, m := range s.mgrs {
-			sh, ok := shardOf(m, shard)
-			if !ok {
+			if shard >= m.Pool.Shards() {
 				continue
 			}
 			if m.Pool.FreeCount() >= m.Cfg.HighWater {
@@ -546,24 +486,24 @@ func (s *Service) reclaimerLoop(p *sim.Proc, shard int) {
 				continue
 			}
 			t0 := p.Now()
-			if victim, ok := m.reclaimStepSteal(p, sh); ok {
+			if victim, ok := m.reclaimStepSteal(p, shard); ok {
 				evicted = true
 				if m.Tel != nil {
-					m.Tel.Emit(m.reclaimTrackFor(sh), telemetry.Span{
+					m.Tel.Emit(m.ReclaimTracks[shard], telemetry.Span{
 						Kind: telemetry.KindReclaim, Start: t0, End: p.Now(), Arg: 1,
 					})
 				}
-				if victim != sh {
+				if victim != shard {
 					// Cross-shard steal: mark the thief's track with the
 					// victim so the timeline shows who raided whom.
 					m.Steals.Inc()
 					if m.Tel != nil {
-						m.Tel.Emit(m.reclaimTrackFor(sh), telemetry.Span{
+						m.Tel.Emit(m.ReclaimTracks[shard], telemetry.Span{
 							Kind: telemetry.KindSteal, Start: t0, End: p.Now(), Arg: uint64(victim),
 						})
 					}
 					if m.OnSteal != nil {
-						m.OnSteal(p.Now(), sh, victim)
+						m.OnSteal(p.Now(), shard, victim)
 					}
 				}
 			}
@@ -593,10 +533,7 @@ func (m *Manager) reclaimStepSteal(p *sim.Proc, shard int) (victim int, ok bool)
 	if m.reclaimStep(p, shard) {
 		return shard, true
 	}
-	n := 1
-	if m.Shards > 1 {
-		n = m.Shards
-	}
+	n := m.Pool.Shards()
 	for k := 1; k < n; k++ {
 		v := (shard + k) % n
 		if m.reclaimStep(p, v) {
@@ -606,65 +543,12 @@ func (m *Manager) reclaimStepSteal(p *sim.Proc, shard int) (victim int, ok bool)
 	return shard, false
 }
 
-// cleanPass performs one cleaner scan over one shard's list; exposed for
-// tests (shard 0 is the whole list in legacy mode).
+// cleanPass is one doorbell-batched cleaner pass over one shard's list:
+// sweep the dirty set, flush it per queue pair through single doorbells,
+// then retire — clearing the dirty bit only for pages whose every replica
+// write landed. Sweep, flush, and retire run without a yield, so the page
+// snapshots taken by the sweep stay valid until the bits are cleared.
 func (m *Manager) cleanPass(p *sim.Proc, shard int) {
-	if m.Batch {
-		m.cleanPassBatched(p, shard)
-		return
-	}
-	t0 := p.Now()
-	var lastOp *fabric.Op
-	batch, dirty := 0, 0
-	m.Pool.WalkShard(shard, func(id dram.FrameID, f *dram.Frame) bool {
-		p.Advance(m.Cfg.ScanCost)
-		if batch >= m.Cfg.CleanerBatch {
-			return false
-		}
-		if f.Pinned || f.VPN == dram.NoVPN {
-			return true
-		}
-		pte := m.Table.Lookup(f.VPN)
-		if pte.Tag() != pagetable.TagLocal || !pte.Dirty() {
-			return true
-		}
-		dirty++
-		op, ok := m.writeBack(p, id, f.VPN, false)
-		if !ok {
-			// A replica write failed at issue (fabric errors are known at
-			// issue time) or the page has no reachable write target: leave
-			// the dirty bit set so the next pass retries, and never let the
-			// reclaimer treat the page as clean.
-			m.WriteFails.Inc()
-			return true
-		}
-		lastOp = op
-		p.Advance(m.Cfg.TagCAS)
-		m.Table.Set(f.VPN, pte&^pagetable.BitDirty)
-		m.Cleaned.Inc()
-		batch++
-		return true
-	})
-	if batch > 0 {
-		m.Table.BumpGen() // one shootdown per pass covers all cleared bits
-	}
-	if lastOp != nil {
-		lastOp.Wait(p) // pace the cleaner to the link, off the demand path
-	}
-	m.DirtyG.Set(int64(dirty))
-	if m.Tel != nil && batch > 0 {
-		m.Tel.Emit(m.cleanTrackFor(shard), telemetry.Span{
-			Kind: telemetry.KindClean, Start: t0, End: p.Now(), Arg: uint64(batch),
-		})
-	}
-}
-
-// cleanPassBatched is the doorbell-batched cleaner pass: sweep the dirty
-// set, flush it per queue pair through single doorbells, then retire —
-// clearing the dirty bit only for pages whose every replica write landed.
-// Sweep, flush, and retire run without a yield, so the page snapshots
-// taken by the sweep stay valid until the bits are cleared.
-func (m *Manager) cleanPassBatched(p *sim.Proc, shard int) {
 	t0 := p.Now()
 	sc := m.cleanScFor(shard)
 	sc.items = sc.items[:0]
@@ -694,7 +578,7 @@ func (m *Manager) cleanPassBatched(p *sim.Proc, shard int) {
 	}
 	m.DirtyG.Set(int64(len(sc.items)))
 	if m.Tel != nil && cleaned > 0 {
-		m.Tel.Emit(m.cleanTrackFor(shard), telemetry.Span{
+		m.Tel.Emit(m.CleanTracks[shard], telemetry.Span{
 			Kind: telemetry.KindClean, Start: t0, End: p.Now(), Arg: uint64(cleaned),
 		})
 	}
@@ -862,67 +746,6 @@ func (m *Manager) retireBatch(p *sim.Proc, sc *wbScratch, countCleaned bool) int
 	return cleaned
 }
 
-// writeBack writes a page's content to its remote slot — the whole page,
-// or just the live chunks when a guide provides them (logging the vector
-// for the reclaimer). reclaimPath selects the reclaimer's queue pair
-// instead of the cleaner's. ok=false means at least one replica write did
-// not land (failed at issue, or the page currently has no reachable write
-// target): the caller must keep the page dirty so the write-back is
-// retried — clearing the dirty bit after a failed write would let the
-// reclaimer evict the only good copy.
-func (m *Manager) writeBack(p *sim.Proc, id dram.FrameID, vpn pagetable.VPN, reclaimPath bool) (*fabric.Op, bool) {
-	tgt, ok := m.RemoteOf(vpn)
-	if !ok {
-		return nil, false
-	}
-	data := m.Pool.Bytes(id)
-	targets := append([]Target{tgt}, tgt.Replicas...)
-	var chunks []Chunk
-	guided := false
-	if m.Guide != nil {
-		if c, ok := m.Guide.LiveChunks(vpn); ok && usable(c) {
-			chunks, guided = c, true
-		}
-	}
-	// Issue the write to every replica slot; return the op that completes
-	// last so callers pacing on it cover the whole replica set. Failure is
-	// known at issue time (see the fabric's data-movement contract), so a
-	// failed replica write is visible here synchronously.
-	var last *fabric.Op
-	ok = true
-	for _, t := range targets {
-		qp := t.CleanQP
-		if reclaimPath {
-			qp = t.ReclaimQP
-		}
-		var op *fabric.Op
-		if guided {
-			segs := make([]fabric.Seg, len(chunks))
-			live := 0
-			for i, c := range chunks {
-				segs[i] = fabric.Seg{Off: t.Off + uint64(c.Off), Buf: data[c.Off : c.Off+c.Len]}
-				live += int(c.Len)
-			}
-			m.VectorSaves.Add(int64(pagetable.PageSize - live))
-			op = qp.WriteV(p.Now(), segs)
-		} else {
-			op = qp.Write(p.Now(), t.Off, data)
-		}
-		if op.Err != nil {
-			ok = false
-			continue
-		}
-		if last == nil || op.CompleteAt > last.CompleteAt {
-			last = op
-		}
-	}
-	if !ok {
-		return last, false
-	}
-	m.setFrameVector(m.Pool.Meta(id), chunks, guided)
-	return last, true
-}
-
 // usable reports whether a chunk vector is worth a vectored request: within
 // the segment cap and actually smaller than the page.
 func usable(chunks []Chunk) bool {
@@ -985,67 +808,16 @@ func (m *Manager) reclaimStep(p *sim.Proc, shard int) bool {
 	// waiting once at the end — still entirely off the fault handler, which
 	// is the design's invariant), then evict the first of them.
 	if firstDirty != dram.NoFrame {
-		if m.Batch {
-			return m.reclaimCleanBatched(p, shard)
-		}
-		var lastOp *fabric.Op
-		cleaned := 0
-		var victim dram.FrameID = dram.NoFrame
-		var victimVPN pagetable.VPN
-		m.Pool.WalkShard(shard, func(id dram.FrameID, f *dram.Frame) bool {
-			if cleaned >= 32 {
-				return false
-			}
-			if f.Pinned || f.VPN == dram.NoVPN {
-				return true
-			}
-			pte := m.Table.Lookup(f.VPN)
-			if pte.Tag() != pagetable.TagLocal || !pte.Dirty() {
-				return true
-			}
-			p.Advance(m.Cfg.ScanCost)
-			op, ok := m.writeBack(p, id, f.VPN, true)
-			if !ok {
-				m.WriteFails.Inc()
-				return true
-			}
-			lastOp = op
-			p.Advance(m.Cfg.TagCAS)
-			m.Table.Set(f.VPN, pte&^pagetable.BitDirty)
-			cleaned++
-			if victim == dram.NoFrame && !pte.Accessed() {
-				victim, victimVPN = id, f.VPN
-			}
-			return true
-		})
-		if cleaned > 0 {
-			m.Table.BumpGen()
-		}
-		if lastOp != nil {
-			lastOp.Wait(p)
-			m.SyncWrites.Inc()
-		}
-		if victim != dram.NoFrame {
-			// The wait above yielded: the victim may have been touched,
-			// re-dirtied, or pinned since we chose it. Re-validate before
-			// evicting, or its newest writes would be lost.
-			f := m.Pool.Meta(victim)
-			pte := m.Table.Lookup(victimVPN)
-			if !f.Pinned && f.VPN == victimVPN && pte.Tag() == pagetable.TagLocal &&
-				!pte.Dirty() && !pte.Accessed() && m.evict(p, victim, victimVPN) {
-				return true
-			}
-		}
-		return cleaned > 0
+		return m.reclaimClean(p, shard)
 	}
 	return false
 }
 
-// reclaimCleanBatched is the reclaimer's emergency clean under batching:
-// sweep a batch of cold dirty pages, flush them through the reclaim queue
-// pairs with one doorbell per node, retire the survivors, then wait once
-// and evict a victim — still entirely off the fault handler.
-func (m *Manager) reclaimCleanBatched(p *sim.Proc, shard int) bool {
+// reclaimClean is the reclaimer's emergency clean: sweep a batch of cold
+// dirty pages, flush them through the reclaim queue pairs with one
+// doorbell per node, retire the survivors, then wait once and evict a
+// victim — still entirely off the fault handler.
+func (m *Manager) reclaimClean(p *sim.Proc, shard int) bool {
 	sc := m.reclaimScFor(shard)
 	sc.items = sc.items[:0]
 	sc.spans = sc.spans[:0]

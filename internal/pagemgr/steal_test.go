@@ -8,12 +8,11 @@ import (
 	"dilos/internal/sim"
 )
 
-// newShardedFixture builds a fixture whose pool and manager run n shards.
+// newShardedFixture builds a fixture whose pool is split into n shards.
 func newShardedFixture(t testing.TB, shards, frames int, pages uint64) *fixture {
 	t.Helper()
 	f := newFixture(t, frames, pages, DefaultConfig(frames))
 	f.pool.SetShards(shards)
-	f.mgr.Shards = shards
 	return f
 }
 

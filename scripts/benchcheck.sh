@@ -1,70 +1,99 @@
 #!/usr/bin/env sh
-# benchcheck.sh — benchstat-style regression gate for the host-side
-# hot-path benchmarks. Runs BenchmarkFaultPath and BenchmarkFaultPathObs
-# (root; the latter is the same fault loop with the full observability
-# plane attached, so their delta is the plane's per-fault cost),
-# BenchmarkKVDecodeStep (root; one guided KV decode step end to end) and
-# BenchmarkSubmit (internal/fabric) several times, takes the best
-# (minimum) ns/op per benchmark — the benchstat idea: noise only ever
-# slows a run down — and fails if any regresses more than 10% over the
-# committed baseline in bench_baseline.txt.
+# benchcheck.sh — benchstat-style A/B regression gate for the host-side
+# hot-path benchmarks. Builds the test binaries of the working tree and of
+# a base revision in the same job, then runs BenchmarkFaultPath and
+# BenchmarkFaultPathObs (root; the latter is the same fault loop with the
+# full observability plane attached, so their delta is the plane's
+# per-fault cost), BenchmarkKVDecodeStep (root; one guided KV decode step
+# end to end) and BenchmarkSubmit (internal/fabric) several times on each
+# side, interleaved and alternating which side goes first so drift and
+# order effects hit both sides alike, and takes the best (minimum) ns/op
+# per side — the benchstat idea: noise only ever slows a run down. It fails if any
+# benchmark is more than 10% slower than on the base. Both sides run on
+# the same machine in the same job, so machine speed cancels out.
 #
-#   scripts/benchcheck.sh          # check against the baseline
-#   scripts/benchcheck.sh -update  # re-measure and rewrite the baseline
+#   scripts/benchcheck.sh          # base = merge-base of HEAD and origin/main
+#   scripts/benchcheck.sh REV      # base = REV (any git revision)
+#
+# When the merge-base is HEAD itself (a push to main), the base is HEAD~1.
+# A benchmark the base does not have yet is reported as new and skipped.
 #
 # Plain sh + awk on purpose: the CI image needs no extra tooling.
 set -eu
 
 cd "$(dirname "$0")/.."
-BASELINE=bench_baseline.txt
-RUNS=3
+RUNS=5
 TOLERANCE=1.10
 
-# best_ns <bench-regexp> <package> <benchtime> → minimum ns/op over $RUNS runs
-best_ns() {
-    best=""
-    for _ in $(seq "$RUNS"); do
-        ns=$(go test -bench "$1" -benchtime "$3" -run 'XXX' "$2" |
-            awk -v b="${1#^}" '$1 ~ b {print $3; exit}')
-        [ -n "$ns" ] || { echo "benchcheck: no ns/op from $1 in $2" >&2; exit 1; }
-        if [ -z "$best" ] || awk -v n="$ns" -v b="$best" 'BEGIN{exit !(n<b)}'; then
-            best=$ns
-        fi
-    done
-    echo "$best"
-}
-
-faultpath=$(best_ns '^BenchmarkFaultPath$' '.' 20000x)
-faultobs=$(best_ns '^BenchmarkFaultPathObs$' '.' 20000x)
-kvdecode=$(best_ns '^BenchmarkKVDecodeStep$' '.' 500x)
-submit=$(best_ns '^BenchmarkSubmit$' './internal/fabric/' 50000x)
-
-if [ "${1:-}" = "-update" ]; then
-    {
-        echo "# Host-side ns/op baselines for scripts/benchcheck.sh (best of $RUNS runs)."
-        echo "# Refresh on the reference machine with: scripts/benchcheck.sh -update"
-        echo "BenchmarkFaultPath $faultpath"
-        echo "BenchmarkFaultPathObs $faultobs"
-        echo "BenchmarkKVDecodeStep $kvdecode"
-        echo "BenchmarkSubmit $submit"
-    } >"$BASELINE"
-    echo "benchcheck: baseline updated — FaultPath ${faultpath} ns/op, FaultPathObs ${faultobs} ns/op, KVDecodeStep ${kvdecode} ns/op, Submit ${submit} ns/op"
-    exit 0
+if [ $# -gt 0 ]; then
+    base=$(git rev-parse --verify "$1^{commit}")
+else
+    base=$(git merge-base HEAD origin/main)
+    if [ "$base" = "$(git rev-parse HEAD)" ]; then
+        base=$(git rev-parse HEAD~1)
+    fi
 fi
 
-[ -f "$BASELINE" ] || { echo "benchcheck: missing $BASELINE (run with -update)" >&2; exit 1; }
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
 
+# build <tree> <side>: compile the two benchmark packages' test binaries.
+build() {
+    (cd "$1" && go test -c -o "$tmp/$2.root.test" . &&
+        go test -c -o "$tmp/$2.fabric.test" ./internal/fabric/) ||
+        { echo "benchcheck: cannot build the $2 benchmarks" >&2; exit 1; }
+}
+build . head
+build "$tmp/base" base
+
+# ns <side> <bench> <pkg> <benchtime> → ns/op of one run, empty if the side
+# has no such benchmark. Go names the benchmark Bench-N when GOMAXPROCS > 1.
+ns() {
+    dir=.
+    [ "$1" = head ] || dir="$tmp/base"
+    pkg=root
+    [ "$3" = . ] || { pkg=fabric; dir="$dir/internal/fabric"; }
+    (cd "$dir" && "$tmp/$1.$pkg.test" -test.run '^$' -test.bench "^$2\$" -test.benchtime "$4") |
+        awk -v b="$2" '$1 ~ "^" b "(-[0-9]+)?$" {print $3; exit}'
+}
+
+# min <a> <b> → the smaller number; an empty <a> yields <b>.
+min() {
+    if [ -z "$1" ] || awk -v n="$2" -v b="$1" 'BEGIN{exit !(n<b)}'; then
+        echo "$2"
+    else
+        echo "$1"
+    fi
+}
+
+echo "benchcheck: working tree vs base $(git rev-parse --short "$base"), best of $RUNS"
 fail=0
-for pair in "BenchmarkFaultPath $faultpath" "BenchmarkFaultPathObs $faultobs" "BenchmarkKVDecodeStep $kvdecode" "BenchmarkSubmit $submit"; do
-    name=${pair% *}
-    got=${pair#* }
-    want=$(awk -v n="$name" '$1 == n {print $2}' "$BASELINE")
-    [ -n "$want" ] || { echo "benchcheck: $name missing from $BASELINE" >&2; exit 1; }
-    if awk -v g="$got" -v w="$want" -v t="$TOLERANCE" 'BEGIN{exit !(g > w*t)}'; then
-        echo "FAIL $name: $got ns/op vs baseline $want (>${TOLERANCE}x)"
+for spec in "BenchmarkFaultPath . 20000x" "BenchmarkFaultPathObs . 20000x" \
+    "BenchmarkKVDecodeStep . 500x" "BenchmarkSubmit ./internal/fabric/ 50000x"; do
+    set -- $spec
+    best_head="" best_base=""
+    for i in $(seq "$RUNS"); do
+        order="base head"
+        [ $((i % 2)) -eq 1 ] || order="head base"
+        for side in $order; do
+            got=$(ns "$side" "$1" "$2" "$3")
+            if [ "$side" = head ]; then
+                [ -n "$got" ] || { echo "benchcheck: no ns/op from $1 in $2" >&2; exit 1; }
+                best_head=$(min "$best_head" "$got")
+            elif [ -n "$got" ]; then
+                best_base=$(min "$best_base" "$got")
+            fi
+        done
+    done
+    if [ -z "$best_base" ]; then
+        echo "new  $1: $best_head ns/op (not in the base)"
+    elif awk -v g="$best_head" -v w="$best_base" -v t="$TOLERANCE" 'BEGIN{exit !(g > w*t)}'; then
+        echo "FAIL $1: $best_head ns/op vs base $best_base (>${TOLERANCE}x)"
         fail=1
     else
-        echo "ok   $name: $got ns/op vs baseline $want"
+        echo "ok   $1: $best_head ns/op vs base $best_base"
     fi
 done
 exit $fail
