@@ -9,6 +9,7 @@ import (
 	"dilos/internal/mmu"
 	"dilos/internal/pagemgr"
 	"dilos/internal/pagetable"
+	"dilos/internal/placement"
 	"dilos/internal/prefetch"
 	"dilos/internal/sim"
 	"dilos/internal/telemetry"
@@ -272,7 +273,8 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 		span.Stages[telemetry.StageLookup] = p.Now() - t0
 	}
 
-	slots, failover, ok := s.space.Resolve(vpn)
+	var sbuf [placement.MaxInlineReplicas]placement.Slot
+	slots, failover, ok := s.space.AppendResolve(sbuf[:0], vpn)
 	if !ok {
 		panic(fmt.Sprintf("core: remote PTE for unmapped vpn %d", vpn))
 	}
@@ -343,8 +345,9 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 // re-issue after a failed attempt lands in FetchRetries.Retries.
 func (s *System) recoverFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, slot uint64, gen uint64,
 	counted, failed bool, buf []byte, issue func(qp *fabric.QP, now sim.Time, base uint64, buf []byte) *fabric.Op) {
+	var sbuf [placement.MaxInlineReplicas]placement.Slot
 	for round := 0; round < maxRecoverRounds; round++ {
-		slots, failover, ok := s.space.Resolve(vpn)
+		slots, failover, ok := s.space.AppendResolve(sbuf[:0], vpn)
 		if !ok {
 			panic(fmt.Sprintf("core: recovering fetch for unmapped vpn %d", vpn))
 		}

@@ -12,6 +12,7 @@ import (
 	"dilos/internal/dram"
 	"dilos/internal/fabric"
 	"dilos/internal/pagetable"
+	"dilos/internal/placement"
 	"dilos/internal/sim"
 )
 
@@ -74,12 +75,13 @@ func (s *System) PageOutRange(p *sim.Proc, coreID int, addr uint64, bytes uint64
 	)
 	slotsOf := make([][]int, len(items)) // parallel: QP index per replica
 	offsOf := make([][]uint64, len(items))
+	var sbuf [placement.MaxInlineReplicas]placement.Slot
 	for i := range items {
 		it := &items[i]
 		if !it.dirty {
 			continue
 		}
-		slots, ok := s.space.WriteSlots(it.vpn)
+		slots, ok := s.space.AppendWriteSlots(sbuf[:0], it.vpn)
 		if !ok || len(slots) == 0 {
 			it.failed = true
 			continue

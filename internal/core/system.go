@@ -546,7 +546,8 @@ func build(eng *sim.Engine, cfg Config) *System {
 	}
 	s.retryRng = chaos.NewRand(retrySeed)
 	mgr.RemoteOf = func(v pagetable.VPN) (pagemgr.Target, bool) {
-		slots, ok := s.space.WriteSlots(v)
+		var sbuf [placement.MaxInlineReplicas]placement.Slot
+		slots, ok := s.space.AppendWriteSlots(sbuf[:0], v)
 		if !ok || len(slots) == 0 {
 			return pagemgr.Target{}, false
 		}

@@ -170,8 +170,8 @@ func TestTelemetryFaultPathAllocs(t *testing.T) {
 		})
 		// Same bound as TestBatchedFaultPathAllocs with recording off:
 		// telemetry must not add a single allocation per page.
-		if perPage := avg / 1024; perPage > 3.5 {
-			t.Errorf("instrumented fault path allocates %.2f/page, want ≤ 3.5", perPage)
+		if perPage := avg / 1024; perPage > 1.5 {
+			t.Errorf("instrumented fault path allocates %.2f/page, want ≤ 1.5", perPage)
 		}
 	})
 	eng.Run()

@@ -255,7 +255,8 @@ func (s *System) NewTenant(spec TenantSpec) (*Tenant, error) {
 	}
 	ts.retryRng = chaos.NewRand(retrySeed)
 	mgr.RemoteOf = func(v pagetable.VPN) (pagemgr.Target, bool) {
-		slots, ok := ts.space.WriteSlots(v)
+		var sbuf [placement.MaxInlineReplicas]placement.Slot
+		slots, ok := ts.space.AppendWriteSlots(sbuf[:0], v)
 		if !ok || len(slots) == 0 {
 			return pagemgr.Target{}, false
 		}

@@ -638,7 +638,8 @@ func (e *Engine) runBatch(p *sim.Proc, jobs []job) int {
 			sp.ResetMigrationWrote(j.vpn)
 			j.op = nil
 			j.src.Node = -1
-			if slots, _, ok := sp.Resolve(j.vpn); ok && len(slots) > 0 {
+			var sbuf [placement.MaxInlineReplicas]placement.Slot
+			if slots, _, ok := sp.AppendResolve(sbuf[:0], j.vpn); ok && len(slots) > 0 {
 				j.src = slots[0]
 			}
 		}

@@ -52,6 +52,12 @@ type Slot struct {
 	Off  uint64
 }
 
+// MaxInlineReplicas sizes the fixed scratch arrays callers hand to
+// AppendResolve and AppendWriteSlots: at this replication factor or below
+// a lookup stays on the caller's stack; above it the append spills to the
+// heap, still correct.
+const MaxInlineReplicas = 4
+
 // Config assembles an AddressSpace.
 type Config struct {
 	// Nodes is the memory-node count (default 1).
@@ -370,19 +376,20 @@ func (a *AddressSpace) Primary(v pagetable.VPN) (Slot, bool) {
 	return a.slotOf(r, idx, primary, slot, 0), true
 }
 
-// Resolve returns every readable replica slot of a page, primary first
-// and skipping failed, syncing, and removed nodes; migrated pages
-// resolve through the forwarding table. failover reports that the page's
-// primary node is not readable (the head slot, if any, is a non-primary
-// replica) — fault handlers use it to count genuine failover fetches.
-// ok means "mapped": a mapped page whose every replica is unreachable
-// returns ok=true with an EMPTY slot list, so callers must check
-// len(slots) and degrade (wait, retry, or surface an error) instead of
-// relying on a panic.
-func (a *AddressSpace) Resolve(v pagetable.VPN) (slots []Slot, failover, ok bool) {
+// AppendResolve appends every readable replica slot of a page to dst and
+// returns the extended slice: primary first, skipping failed, syncing and
+// removed nodes; migrated pages resolve through the forwarding table.
+// failover reports that the page's primary node is not readable (the head
+// slot, if any, is a non-primary replica) — fault handlers use it to count
+// genuine failover fetches. ok means "mapped": a mapped page whose every
+// replica is unreachable returns ok=true with nothing appended, so callers
+// must check the length and degrade (wait, retry, or surface an error)
+// instead of relying on a panic. The caller owns dst; pass a scratch
+// buffer to keep the lookup allocation-free.
+func (a *AddressSpace) AppendResolve(dst []Slot, v pagetable.VPN) (slots []Slot, failover, ok bool) {
 	r, idx, ok := a.lookup(v)
 	if !ok {
-		return nil, false, false
+		return dst, false, false
 	}
 	ov := a.moved[v]
 	var primary int
@@ -403,23 +410,23 @@ func (a *AddressSpace) Resolve(v pagetable.VPN) (slots []Slot, failover, ok bool
 			}
 			continue
 		}
-		slots = append(slots, s)
+		dst = append(dst, s)
 	}
-	return slots, failover, true
+	return dst, failover, true
 }
 
-// WriteSlots returns every replica slot of a page that should receive
-// write-backs: slots on live and draining nodes plus slots on syncing
-// nodes (a recovering node must see new writes while re-replication
-// backfills the old ones, or it would come back stale). Migrated pages
-// follow the forwarding table. If the page has a copy in flight, the
-// call also flags the move as written-during-copy, forcing the migration
-// engine to restart from fresh bytes before it flips — write-backs keep
-// landing in the old slots and are never lost.
-func (a *AddressSpace) WriteSlots(v pagetable.VPN) (slots []Slot, ok bool) {
+// AppendWriteSlots appends every replica slot of a page that should receive
+// write-backs to dst and returns the extended slice: slots on live and
+// draining nodes plus slots on syncing nodes (a recovering node must see
+// new writes while re-replication backfills the old ones, or it would come
+// back stale). Migrated pages follow the forwarding table. If the page has
+// a copy in flight, the call also flags the move as written-during-copy,
+// forcing the migration engine to restart from fresh bytes before it flips
+// — write-backs keep landing in the old slots and are never lost.
+func (a *AddressSpace) AppendWriteSlots(dst []Slot, v pagetable.VPN) (slots []Slot, ok bool) {
 	r, idx, ok := a.lookup(v)
 	if !ok {
-		return nil, false
+		return dst, false
 	}
 	if e := a.migrating[v]; e != nil {
 		e.wrote = true
@@ -440,9 +447,25 @@ func (a *AddressSpace) WriteSlots(v pagetable.VPN) (slots []Slot, ok bool) {
 		if !writable(a.state[s.Node]) {
 			continue
 		}
-		slots = append(slots, s)
+		dst = append(dst, s)
 	}
-	return slots, true
+	return dst, true
+}
+
+// Resolve is AppendResolve into a fresh slice.
+//
+// Deprecated: use AppendResolve with a caller-owned buffer. Resolve stays
+// only because the repository benchmark (perfbench/) calls it.
+func (a *AddressSpace) Resolve(v pagetable.VPN) (slots []Slot, failover, ok bool) {
+	return a.AppendResolve(nil, v)
+}
+
+// WriteSlots is AppendWriteSlots into a fresh slice.
+//
+// Deprecated: use AppendWriteSlots with a caller-owned buffer. WriteSlots
+// stays only because the repository benchmark (perfbench/) calls it.
+func (a *AddressSpace) WriteSlots(v pagetable.VPN) (slots []Slot, ok bool) {
+	return a.AppendWriteSlots(nil, v)
 }
 
 // AllSlots returns every replica slot of a page regardless of node
@@ -467,7 +490,8 @@ func (a *AddressSpace) AllSlots(v pagetable.VPN) (slots []Slot, ok bool) {
 // target. ok is false when the page is unmapped or no replica is
 // currently readable.
 func (a *AddressSpace) First(v pagetable.VPN) (Slot, bool) {
-	slots, _, ok := a.Resolve(v)
+	var buf [MaxInlineReplicas]Slot
+	slots, _, ok := a.AppendResolve(buf[:0], v)
 	if !ok || len(slots) == 0 {
 		return Slot{}, false
 	}

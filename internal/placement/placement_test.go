@@ -156,7 +156,7 @@ func TestResolveInvariants(t *testing.T) {
 		used := make(map[key]pagetable.VPN)
 		for i := uint64(0); i < reg.Pages; i++ {
 			v := reg.BaseVPN + pagetable.VPN(i)
-			slots, failover, ok := a.Resolve(v)
+			slots, failover, ok := a.AppendResolve(nil, v)
 			if !ok || failover {
 				t.Fatalf("%s: Resolve(%d) ok=%v failover=%v", p.Name(), v, ok, failover)
 			}
@@ -191,10 +191,10 @@ func TestResolveOutsideRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := a.Resolve(reg.BaseVPN - 1); ok {
+	if _, _, ok := a.AppendResolve(nil, reg.BaseVPN-1); ok {
 		t.Fatal("resolved a VPN below the region")
 	}
-	if _, _, ok := a.Resolve(reg.BaseVPN + pagetable.VPN(reg.Pages)); ok {
+	if _, _, ok := a.AppendResolve(nil, reg.BaseVPN+pagetable.VPN(reg.Pages)); ok {
 		t.Fatal("resolved a VPN past the region")
 	}
 	if _, ok := a.First(reg.BaseVPN + pagetable.VPN(reg.Pages)); ok {
@@ -222,7 +222,7 @@ func TestFailover(t *testing.T) {
 	failovers := 0
 	for i := uint64(0); i < reg.Pages; i++ {
 		v := reg.BaseVPN + pagetable.VPN(i)
-		slots, failover, ok := a.Resolve(v)
+		slots, failover, ok := a.AppendResolve(nil, v)
 		if !ok {
 			t.Fatalf("Resolve(%d) failed", v)
 		}
@@ -329,7 +329,7 @@ func TestAllReplicasDownDegrades(t *testing.T) {
 	stranded := 0
 	for i := uint64(0); i < reg.Pages; i++ {
 		v := reg.BaseVPN + pagetable.VPN(i)
-		slots, failover, ok := a.Resolve(v)
+		slots, failover, ok := a.AppendResolve(nil, v)
 		if !ok {
 			t.Fatalf("Resolve(%d): mapped page reported unmapped", v)
 		}
@@ -382,7 +382,7 @@ func TestRecoveryStates(t *testing.T) {
 	if a.LiveNodes() != 1 || !a.Failed(1) {
 		t.Fatalf("after fail: live=%d failed=%v", a.LiveNodes(), a.Failed(1))
 	}
-	if ws, _ := a.WriteSlots(v); len(ws) != 1 || ws[0].Node != 0 {
+	if ws, _ := a.AppendWriteSlots(nil, v); len(ws) != 1 || ws[0].Node != 0 {
 		t.Fatalf("failed node still receives writes: %v", ws)
 	}
 
@@ -392,13 +392,13 @@ func TestRecoveryStates(t *testing.T) {
 	if a.LiveNodes() != 1 {
 		t.Fatalf("syncing node counted live")
 	}
-	slots, _, _ := a.Resolve(v)
+	slots, _, _ := a.AppendResolve(nil, v)
 	for _, s := range slots {
 		if s.Node == 1 {
 			t.Fatal("syncing node served a read")
 		}
 	}
-	ws, _ := a.WriteSlots(v)
+	ws, _ := a.AppendWriteSlots(nil, v)
 	if len(ws) != 2 {
 		t.Fatalf("syncing node missing from WriteSlots: %v", ws)
 	}
@@ -409,7 +409,7 @@ func TestRecoveryStates(t *testing.T) {
 	if a.LiveNodes() != 2 || a.Failed(1) {
 		t.Fatalf("after recover: live=%d failed=%v", a.LiveNodes(), a.Failed(1))
 	}
-	slots, _, _ = a.Resolve(v)
+	slots, _, _ = a.AppendResolve(nil, v)
 	if len(slots) != 2 {
 		t.Fatalf("recovered node not serving reads: %v", slots)
 	}
@@ -433,5 +433,36 @@ func TestRecoveryStates(t *testing.T) {
 	}
 	if a.Failed(0) || a.LiveNodes() != 2 {
 		t.Fatalf("after recover: live=%d failed=%v", a.LiveNodes(), a.Failed(0))
+	}
+}
+
+// TestAppendFormsReuseDst: AppendResolve and AppendWriteSlots keep dst's
+// prefix, allocate nothing into a buffer with room, and agree with the
+// deprecated fresh-slice forms.
+func TestAppendFormsReuseDst(t *testing.T) {
+	a := New(Config{Nodes: 3, Replicas: 2})
+	reg := mustMap(t, a, 16)
+	v := reg.BaseVPN + 5
+	head := Slot{Node: 9, Off: 1}
+	got, failover, ok := a.AppendResolve([]Slot{head}, v)
+	want, _, _ := a.Resolve(v)
+	if !ok || failover || len(got) != 3 || got[0] != head || got[1] != want[0] || got[2] != want[1] {
+		t.Fatalf("AppendResolve = %v (ok=%v failover=%v), want %v after %v", got, ok, failover, want, head)
+	}
+	wgot, ok := a.AppendWriteSlots([]Slot{head}, v)
+	wwant, _ := a.WriteSlots(v)
+	if !ok || len(wgot) != 3 || wgot[0] != head || wgot[1] != wwant[0] || wgot[2] != wwant[1] {
+		t.Fatalf("AppendWriteSlots = %v, want %v after %v", wgot, wwant, head)
+	}
+	if got, _, ok := a.AppendResolve(got[:1], reg.BaseVPN-1); ok || len(got) != 1 {
+		t.Fatalf("unmapped AppendResolve = %v ok=%v, want dst back unchanged", got, ok)
+	}
+	buf := make([]Slot, 0, MaxInlineReplicas)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf, _, _ = a.AppendResolve(buf[:0], v)
+		buf, _ = a.AppendWriteSlots(buf[:0], v)
+	})
+	if allocs != 0 {
+		t.Fatalf("append forms into scratch: %v allocs/op, want 0", allocs)
 	}
 }

@@ -241,7 +241,7 @@ func TestMigrateCopyThenFlip(t *testing.T) {
 	if a.MigrationWrote(v) {
 		t.Fatal("wrote flag set before any write")
 	}
-	ws, _ := a.WriteSlots(v)
+	ws, _ := a.AppendWriteSlots(nil, v)
 	if len(ws) != 2 || ws[0] != before[0] {
 		t.Fatalf("write slots changed mid-copy: %v", ws)
 	}
@@ -267,7 +267,7 @@ func TestMigrateCopyThenFlip(t *testing.T) {
 	if p, _ := a.Primary(v); p != dst {
 		t.Fatalf("Primary %v, want %v", p, dst)
 	}
-	slots, failover, ok := a.Resolve(v)
+	slots, failover, ok := a.AppendResolve(nil, v)
 	if !ok || failover || len(slots) != 2 || slots[0] != dst {
 		t.Fatalf("Resolve after flip: %v failover=%v", slots, failover)
 	}

@@ -16,8 +16,9 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math"
-	"runtime"
+	"runtime/debug"
 )
 
 // Time is virtual time in nanoseconds.
@@ -55,24 +56,24 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Engine owns the virtual clock and the run queue of Procs.
 type Engine struct {
 	queue   procHeap
-	procs   []*Proc       // every spawned proc (for shutdown)
-	parked  chan struct{} // signalled by a Proc when it yields or finishes
-	live    int           // non-daemon procs not yet finished
+	procs   []*Proc // every spawned proc (for shutdown)
+	live    int     // non-daemon procs not yet finished
 	nextID  int
 	running bool
 	now     Time // time of the most recently resumed proc (monotone)
 }
 
 // New creates an empty engine.
-func New() *Engine {
-	return &Engine{parked: make(chan struct{})}
-}
+func New() *Engine { return &Engine{} }
 
 // Now reports the virtual time of the most recently scheduled Proc. It is
 // only meaningful while Run is in progress or after it returns.
 func (e *Engine) Now() Time { return e.now }
 
-// Proc is a simulated thread of control with a private virtual clock.
+// Proc is a simulated thread of control with a private virtual clock. It
+// runs as an iter.Pull coroutine: the engine resumes it with next, and it
+// hands control back with the coroutine's yield, so a switch is a direct
+// hand-off on Run's goroutine rather than a trip through the Go scheduler.
 type Proc struct {
 	eng    *Engine
 	id     int
@@ -83,11 +84,37 @@ type Proc struct {
 	wakeAt Time // valid while queued
 	index  int  // heap index, -1 when not queued
 
-	resume   chan struct{}
-	started  bool
+	next     func() (struct{}, bool) // nil until first resumed
+	stop     func()
+	yieldFn  func(struct{}) bool
 	finished bool
-	aborted  bool
 	fn       func(*Proc)
+}
+
+// abortPanic unwinds a parked proc that Run shuts down: its yield panics
+// with it, running the proc's deferred functions, and the coroutine body
+// recovers it. A plain runtime.Goexit would not do: iter.Pull re-raises a
+// coroutine's Goexit on the goroutine that called stop, which is Run's.
+var abortPanic = new(int)
+
+// ProcPanic is the value Run panics with when a proc panics. iter.Pull
+// re-raises a coroutine's panic on Run's goroutine, whose stack no longer
+// shows the proc's frames, so the stack where the proc panicked rides
+// along.
+type ProcPanic struct {
+	Proc  string // name of the proc that panicked
+	Value any    // the value it panicked with
+	Stack []byte // its stack at the panic
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", pp.Proc, pp.Value, pp.Stack)
+}
+
+// Unwrap returns the proc's panic value if it is an error.
+func (pp *ProcPanic) Unwrap() error {
+	err, _ := pp.Value.(error)
+	return err
 }
 
 // Go registers a new process. If the engine is already running, the process
@@ -116,7 +143,6 @@ func (e *Engine) spawn(name string, fn func(*Proc), daemon bool, startAt Time) *
 		name:   name,
 		daemon: daemon,
 		now:    startAt,
-		resume: make(chan struct{}),
 		fn:     fn,
 		index:  -1,
 	}
@@ -132,13 +158,27 @@ func (e *Engine) spawn(name string, fn func(*Proc), daemon bool, startAt Time) *
 
 // Run executes the simulation until every non-daemon Proc has finished.
 // It panics on deadlock (live procs remain but nothing is runnable), which
-// in this codebase always indicates a bug in a Waiter protocol.
+// in this codebase always indicates a bug in a Waiter protocol. A panic
+// inside a proc comes out of Run, on the caller's goroutine.
+//
+// On the way out, normal or not, Run shuts down every proc still parked
+// (daemons sleeping or waiting): each one's deferred functions run, and no
+// coroutine outlives Run to pin the engine — and everything it references
+// — for the life of the process.
 func (e *Engine) Run() {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		for _, p := range e.procs {
+			if p.next != nil && !p.finished {
+				p.finished = true
+				p.stop()
+			}
+		}
+		e.running = false
+	}()
 	for e.live > 0 {
 		if e.queue.Len() == 0 {
 			panic("sim: deadlock — live procs exist but none runnable")
@@ -153,48 +193,38 @@ func (e *Engine) Run() {
 		}
 		e.resumeProc(p)
 	}
-	// Tear down whatever is still parked (daemons sleeping or waiting):
-	// their goroutines would otherwise outlive Run and pin the engine —
-	// and everything it references — for the life of the process.
-	for _, p := range e.procs {
-		if p.started && !p.finished {
-			p.aborted = true
-			e.resumeProc(p)
+}
+
+// resumeProc runs p until it yields or returns.
+func (e *Engine) resumeProc(p *Proc) {
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.body)
+	}
+	if _, ok := p.next(); !ok {
+		p.finished = true
+		if !p.daemon {
+			e.live--
 		}
 	}
 }
 
-func (e *Engine) resumeProc(p *Proc) {
-	if !p.started {
-		p.started = true
-		go func() {
-			defer func() {
-				p.finished = true
-				if !p.daemon {
-					e.live--
-				}
-				e.parked <- struct{}{}
-			}()
-			<-p.resume
-			if p.aborted {
-				return
-			}
-			p.fn(p)
-		}()
-	}
-	p.resume <- struct{}{}
-	<-e.parked
+// body is the coroutine of p.
+func (p *Proc) body(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil && r != abortPanic {
+			panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+		}
+	}()
+	p.yieldFn = yield
+	p.fn(p)
 }
 
 // yield parks the calling Proc until the scheduler resumes it. The caller
 // must already have arranged to be woken (queued in the heap or on a
-// Waiter). A proc resumed only to be shut down exits here; the goroutine
-// wrapper's deferred hand-off keeps the scheduler in sync.
+// Waiter). A proc resumed only to be shut down unwinds from here.
 func (p *Proc) yield() {
-	p.eng.parked <- struct{}{}
-	<-p.resume
-	if p.aborted {
-		runtime.Goexit()
+	if !p.yieldFn(struct{}{}) {
+		panic(abortPanic)
 	}
 }
 
@@ -234,24 +264,40 @@ func (p *Proc) Yield() { p.WaitUntil(p.now) }
 
 // WaitUntil blocks the process until virtual time t (no-op if t is in the
 // process's past — but it still yields, keeping scheduling fair).
+//
+// When p would be the next proc Run pops — nothing queued wakes before it,
+// or at the same instant with a lower id — the hand-off is skipped: Run
+// would resume p straight away (a running proc implies a live one, so Run
+// would not stop first), and the engine clock moves as the pop would have
+// moved it. A proc that Run is shutting down always parks, so it unwinds.
 func (p *Proc) WaitUntil(t Time) {
 	if t > p.now {
 		p.now = t
 	}
 	p.wakeAt = p.now
-	heap.Push(&p.eng.queue, p)
+	e := p.eng
+	if !p.finished && (len(e.queue) == 0 || e.queue.before(p, e.queue[0])) {
+		if p.now > e.now {
+			e.now = p.now
+		}
+		return
+	}
+	heap.Push(&e.queue, p)
 	p.yield()
 }
 
 // procHeap orders by wakeAt, ties by id, so scheduling is deterministic.
 type procHeap []*Proc
 
-func (h procHeap) Len() int { return len(h) }
-func (h procHeap) Less(i, j int) bool {
-	if h[i].wakeAt != h[j].wakeAt {
-		return h[i].wakeAt < h[j].wakeAt
+func (h procHeap) Len() int           { return len(h) }
+func (h procHeap) Less(i, j int) bool { return h.before(h[i], h[j]) }
+
+// before reports whether a runs before b: lower wakeAt, then lower id.
+func (procHeap) before(a, b *Proc) bool {
+	if a.wakeAt != b.wakeAt {
+		return a.wakeAt < b.wakeAt
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
 func (h procHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -357,6 +358,169 @@ func BenchmarkSleepSwitch(b *testing.B) {
 		})
 	}
 	e.Run()
+}
+
+// BenchmarkWaiterHandoff: two procs ping-pong through a pair of Waiters;
+// one op is one Wake→Wait hand-off.
+func BenchmarkWaiterHandoff(b *testing.B) {
+	e := New()
+	var ping, pong Waiter
+	e.GoDaemon("ponger", func(p *Proc) {
+		for {
+			ping.Wait(p)
+			pong.Wake(p.Now())
+		}
+	})
+	e.Go("pinger", func(p *Proc) {
+		for i := 0; i < b.N/2; i++ {
+			ping.Wake(p.Now())
+			pong.Wait(p)
+		}
+	})
+	e.Run()
+}
+
+// BenchmarkSelfResume: one proc sleeping with nothing else queued, so every
+// Sleep is a self-resume that never leaves the proc.
+func BenchmarkSelfResume(b *testing.B) {
+	e := New()
+	e.Go("bench", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	e.Run()
+}
+
+// TestHandoffsDoNotAllocate: a Sleep, a WaitUntil and a Waiter Wait that
+// each really park and are resumed by a partner proc allocate nothing.
+func TestHandoffsDoNotAllocate(t *testing.T) {
+	cases := []struct {
+		name    string
+		partner func(p *Proc, w *Waiter) // loops forever as a daemon
+		op      func(p *Proc, w *Waiter)
+	}{
+		{"Sleep",
+			func(p *Proc, _ *Waiter) { p.Sleep(1) },
+			func(p *Proc, _ *Waiter) { p.Sleep(1) }},
+		{"WaitUntil",
+			func(p *Proc, _ *Waiter) { p.Sleep(1) },
+			func(p *Proc, _ *Waiter) { p.WaitUntil(p.Now() + 1) }},
+		{"Waiter",
+			func(p *Proc, w *Waiter) { w.Wake(p.Now()); p.Sleep(1) },
+			func(p *Proc, w *Waiter) { w.Wait(p) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			var w Waiter
+			switches := 0
+			// The partner has the lower id, so at equal wake times it runs
+			// first and the measured op can never resume itself.
+			e.GoDaemon("partner", func(p *Proc) {
+				for {
+					switches++
+					c.partner(p, &w)
+				}
+			})
+			var allocs float64
+			const runs = 200
+			e.Go("measured", func(p *Proc) {
+				allocs = testing.AllocsPerRun(runs, func() { c.op(p, &w) })
+			})
+			e.Run()
+			if switches < runs {
+				t.Fatalf("partner ran %d times in %d ops: the op did not park", switches, runs)
+			}
+			if allocs != 0 {
+				t.Fatalf("%s hand-off: %v allocs/op, want 0", c.name, allocs)
+			}
+		})
+	}
+}
+
+// TestProcPanicComesOutOfRun: a panic inside a proc surfaces from Run on
+// the caller's goroutine as a *ProcPanic, and Run still shuts down every
+// proc left parked, running their deferred functions.
+func TestProcPanicComesOutOfRun(t *testing.T) {
+	boom := errors.New("boom")
+	before := runtime.NumGoroutine()
+	var unwound []string
+	func() {
+		defer func() {
+			r := recover()
+			pp, ok := r.(*ProcPanic)
+			if !ok {
+				t.Fatalf("recovered %v (%T), want *ProcPanic", r, r)
+			}
+			if pp.Proc != "bad" || !errors.Is(pp, boom) || len(pp.Stack) == 0 {
+				t.Fatalf("ProcPanic = {%q, %v, %d stack bytes}", pp.Proc, pp.Value, len(pp.Stack))
+			}
+		}()
+		e := New()
+		var w Waiter
+		e.GoDaemon("sleeper", func(p *Proc) {
+			defer func() { unwound = append(unwound, "sleeper") }()
+			for {
+				p.Sleep(3)
+			}
+		})
+		e.GoDaemon("waiter", func(p *Proc) {
+			defer func() { unwound = append(unwound, "waiter") }()
+			w.Wait(p)
+		})
+		e.Go("worker", func(p *Proc) {
+			defer func() { unwound = append(unwound, "worker") }()
+			p.Sleep(100)
+		})
+		e.Go("bad", func(p *Proc) {
+			p.Sleep(10)
+			panic(boom)
+		})
+		e.Run()
+		t.Fatal("Run returned normally")
+	}()
+	if fmt.Sprint(unwound) != "[sleeper waiter worker]" {
+		t.Fatalf("unwound = %v, want every parked proc", unwound)
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("goroutines left after a panicking run: %d -> %d", before, g)
+	}
+}
+
+// TestShutdownRunsParkedDaemonDefers: when Run ends with daemons parked,
+// their deferred functions run — and a deferred Sleep during the shutdown
+// parks and unwinds instead of running on.
+func TestShutdownRunsParkedDaemonDefers(t *testing.T) {
+	e := New()
+	var w Waiter
+	var ran []string
+	e.GoDaemon("sleeper", func(p *Proc) {
+		defer func() { ran = append(ran, "sleeper") }()
+		for {
+			p.Sleep(1000)
+		}
+	})
+	e.GoDaemon("waiter", func(p *Proc) {
+		defer func() { ran = append(ran, "waiter") }()
+		w.Wait(p)
+	})
+	e.GoDaemon("stubborn", func(p *Proc) {
+		defer func() {
+			ran = append(ran, "stubborn")
+			p.Sleep(1)
+			ran = append(ran, "stubborn-after-sleep")
+		}()
+		p.Sleep(2000)
+	})
+	e.Go("worker", func(p *Proc) { p.Sleep(10) })
+	e.Run()
+	if fmt.Sprint(ran) != "[sleeper waiter stubborn]" {
+		t.Fatalf("deferred functions ran = %v", ran)
+	}
 }
 
 func TestBarrierReleasesAtLatestTime(t *testing.T) {

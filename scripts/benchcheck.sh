@@ -5,10 +5,11 @@
 # BenchmarkFaultPathObs (root; the latter is the same fault loop with the
 # full observability plane attached, so their delta is the plane's
 # per-fault cost), BenchmarkKVDecodeStep (root; one guided KV decode step
-# end to end) and BenchmarkSubmit (internal/fabric) several times on each
-# side, interleaved and alternating which side goes first so drift and
-# order effects hit both sides alike, and takes the best (minimum) ns/op
-# per side — the benchstat idea: noise only ever slows a run down. It fails if any
+# end to end), BenchmarkSubmit (internal/fabric) and BenchmarkSleepSwitch
+# (internal/sim; one scheduler hand-off between two procs) several times
+# on each side, interleaved and alternating which side goes first so drift
+# and order effects hit both sides alike, and takes the best (minimum)
+# ns/op per side — the benchstat idea: noise only ever slows a run down. It fails if any
 # benchmark is more than 10% slower than on the base. Both sides run on
 # the same machine in the same job, so machine speed cancels out.
 #
@@ -39,10 +40,11 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
 
-# build <tree> <side>: compile the two benchmark packages' test binaries.
+# build <tree> <side>: compile the benchmark packages' test binaries.
 build() {
     (cd "$1" && go test -c -o "$tmp/$2.root.test" . &&
-        go test -c -o "$tmp/$2.fabric.test" ./internal/fabric/) ||
+        go test -c -o "$tmp/$2.fabric.test" ./internal/fabric/ &&
+        go test -c -o "$tmp/$2.sim.test" ./internal/sim/) ||
         { echo "benchcheck: cannot build the $2 benchmarks" >&2; exit 1; }
 }
 build . head
@@ -54,7 +56,7 @@ ns() {
     dir=.
     [ "$1" = head ] || dir="$tmp/base"
     pkg=root
-    [ "$3" = . ] || { pkg=fabric; dir="$dir/internal/fabric"; }
+    [ "$3" = . ] || { pkg=$(basename "$3"); dir="$dir/$3"; }
     (cd "$dir" && "$tmp/$1.$pkg.test" -test.run '^$' -test.bench "^$2\$" -test.benchtime "$4") |
         awk -v b="$2" '$1 ~ "^" b "(-[0-9]+)?$" {print $3; exit}'
 }
@@ -71,7 +73,8 @@ min() {
 echo "benchcheck: working tree vs base $(git rev-parse --short "$base"), best of $RUNS"
 fail=0
 for spec in "BenchmarkFaultPath . 20000x" "BenchmarkFaultPathObs . 20000x" \
-    "BenchmarkKVDecodeStep . 500x" "BenchmarkSubmit ./internal/fabric/ 50000x"; do
+    "BenchmarkKVDecodeStep . 500x" "BenchmarkSubmit ./internal/fabric/ 50000x" \
+    "BenchmarkSleepSwitch ./internal/sim/ 2000000x"; do
     set -- $spec
     best_head="" best_base=""
     for i in $(seq "$RUNS"); do
